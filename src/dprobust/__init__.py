@@ -49,13 +49,11 @@ from .harness import (
     write_records_csv,
 )
 from .linalg import (
-    EigenResult,
     empirical_covariance,
     empirical_mean,
     max_eigenpair,
     spectral_deviation,
     spectral_norm,
-    top_eigenpair,
 )
 from .privacy import (
     NoiseSpec,
@@ -83,7 +81,6 @@ __all__ = [
     "ConstantCluster",
     "CorruptionPlan",
     "DirectionalSpread",
-    "EigenResult",
     "EstimateReport",
     "ExperimentConfig",
     "FilterDiagnostics",
@@ -129,7 +126,6 @@ __all__ = [
     "spectral_norm",
     "symmetric_difference_ratio",
     "thresh",
-    "top_eigenpair",
     "winsorized_mean",
     "write_records_csv",
 ]

@@ -25,7 +25,7 @@ import numpy as np
 
 from .filtering import FilterDiagnostics, SampleSizeWarning, filter_gaussian_unknown_mean
 from .linalg import as_dataset
-from .privacy import NoiseSpec, PrivacyParams, add_gaussian_noise, noise_scale
+from .privacy import PrivacyParams, add_gaussian_noise, noise_scale
 from .sensitivity import (
     RobustConfig,
     global_sensitivity,
@@ -66,10 +66,6 @@ class EstimateReport:
     method: Method
 
 
-def _release(mean: np.ndarray, spec: NoiseSpec) -> np.ndarray:
-    return add_gaussian_noise(mean, spec)
-
-
 def dp_robust_mean(
     data,
     cfg: RobustConfig,
@@ -90,7 +86,7 @@ def dp_robust_mean(
     sens = global_sensitivity(bound)
     spec = noise_scale(sens, PrivacyParams(epsilon=epsilon, delta=cfg.tau), seed=seed)
     return EstimateReport(
-        private_mean=_release(outcome.mean, spec),
+        private_mean=add_gaussian_noise(outcome.mean, spec),
         robust_mean=outcome.mean.copy() if diagnostic else None,
         noise_variance=spec.variance,
         bound_used=bound,
@@ -127,7 +123,7 @@ def dp_mean(
     sens = global_sensitivity(bound)
     spec = noise_scale(sens, PrivacyParams(epsilon=epsilon, delta=tau), seed=seed)
     return EstimateReport(
-        private_mean=_release(outcome.mean, spec),
+        private_mean=add_gaussian_noise(outcome.mean, spec),
         robust_mean=outcome.mean.copy() if diagnostic else None,
         noise_variance=spec.variance,
         bound_used=bound,
@@ -173,7 +169,7 @@ def dp_winsorized_mean(
     sens = 2.0 * bound
     spec = noise_scale(sens, params, seed=seed)
     return EstimateReport(
-        private_mean=_release(mean, spec),
+        private_mean=add_gaussian_noise(mean, spec),
         robust_mean=mean.copy() if diagnostic else None,
         noise_variance=spec.variance,
         bound_used=bound,

@@ -3,25 +3,22 @@
 Everything here operates on plain numpy arrays: a dataset is an (n, d)
 float array (one sample per row), a direction is a (d,) unit vector, and
 covariance-like matrices are exactly symmetrized (d, d) arrays. The only
-nontrivial numerics is the dominant-eigenpair power iteration, which is
-kept deterministic so that repeated runs (and permuted inputs) agree.
+nontrivial numerics is the top eigenpair of a symmetric matrix: a
+deterministic power iteration, which settles the large spectral gaps a
+planted cluster produces in a few steps, with a dense eigendecomposition
+after d unsettled steps.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
 SYMMETRY_ATOL = 1e-10
 
-DEFAULT_EIG_TOL = 1e-7
-DEFAULT_EIG_MAX_ITER = 1000
-
-# Stall detection: Rayleigh quotient frozen for this many iterations while
-# the residual is still large triggers a deterministic restart.
-_STALL_WINDOW = 10
+_EIG_TOL = 1e-7  # relative residual that accepts a power-iteration eigenpair
+# Philox key of the fixed pseudo-random start vector, which (unlike all-ones)
+# is no eigenvector of a structured matrix such as [[3, -1], [-1, 3]].
+_START_KEY = 0xD1FE
 
 
 def as_dataset(data) -> np.ndarray:
@@ -62,20 +59,6 @@ def as_sym_matrix(m, atol: float = SYMMETRY_ATOL) -> np.ndarray:
     return 0.5 * (arr + arr.T)
 
 
-@dataclass(frozen=True)
-class EigenResult:
-    """Dominant eigenpair of a symmetric matrix.
-
-    value is the eigenvalue, vector has unit l2 norm, and converged means
-    the residual ||M v - value * v|| dropped below tol * max(1, |value|).
-    """
-
-    value: float
-    vector: np.ndarray
-    iterations: int
-    converged: bool
-
-
 def empirical_mean(data) -> np.ndarray:
     """Coordinate-wise arithmetic mean of the rows of data."""
     arr = as_dataset(data)
@@ -98,160 +81,50 @@ def empirical_covariance(data, center) -> np.ndarray:
     return 0.5 * (cov + cov.T)
 
 
-def _restart_vector(d: int, restart: int) -> np.ndarray:
-    # Deterministic pseudo-random perturbation; Philox keyed by restart count.
-    rng = np.random.Generator(np.random.Philox(key=0xD1FE + restart))
-    v = rng.standard_normal(d)
-    norm = np.linalg.norm(v)
-    if norm == 0.0:
-        v = np.ones(d)
-        norm = math.sqrt(d)
-    return v / norm
+def max_eigenpair(m) -> tuple[float, np.ndarray]:
+    """Algebraically largest eigenvalue of a symmetric matrix, with a unit
+    eigenvector.
 
-
-def _normalize(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v)
-
-
-def top_eigenpair(
-    m,
-    tol: float = DEFAULT_EIG_TOL,
-    max_iter: int = DEFAULT_EIG_MAX_ITER,
-) -> EigenResult:
-    """Dominant (largest |eigenvalue|) eigenpair by power iteration.
-
-    The start vector is the normalized all-ones vector so that repeated
-    calls are bit-reproducible. Two traps of the fixed start are handled
-    deterministically: a Rayleigh quotient frozen for several iterations
-    while the residual makes no progress triggers a perturbation of the
-    iterate, and convergence within the first few iterations (the start
-    may sit exactly on a non-dominant eigenvector) is confirmed by a
-    perturbed rerun before the eigenpair is accepted.
-
-    A zero matrix returns value 0.0 with converged=True and the start
-    vector; this is documented behavior, not an error.
+    Power iteration from a fixed pseudo-random unit vector accepts the
+    iterate x once its Rayleigh quotient lam > 0 and ||M x - lam x|| <=
+    1e-7 * max(1, lam). A step costs about 2 d^2 flops, so d steps cost
+    about one np.linalg.eigh, which takes over when they do not settle
+    (small spectral gap, or a negative-dominant spectrum); its failures
+    raise LinAlgError.
     """
     mat = as_sym_matrix(m)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     d = mat.shape[0]
-
-    if not mat.any():
-        return EigenResult(0.0, np.ones(d) / math.sqrt(d), 0, True)
-
-    x = np.ones(d) / math.sqrt(d)
-    lam = float(x @ (mat @ x))
-    stall = 0
-    window_residual = math.inf
-    restarts = 0
-    candidate: EigenResult | None = None
-    for it in range(1, max_iter + 1):
+    x = np.random.Generator(np.random.Philox(key=_START_KEY)).standard_normal(d)
+    x /= np.linalg.norm(x)
+    for _ in range(d):
         y = mat @ x
-        y_norm = float(np.linalg.norm(y))
-        if y_norm <= 1e-300:
-            # Iterate fell into the nullspace; deterministic restart.
-            restarts += 1
-            x = _restart_vector(d, restarts)
-            stall = 0
-            window_residual = math.inf
-            continue
-        x_new = y / y_norm
-        mx = mat @ x_new
-        lam_new = float(x_new @ mx)
-        residual = float(np.linalg.norm(mx - lam_new * x_new))
-        scale = max(1.0, abs(lam_new))
-        if residual <= tol * scale:
-            if candidate is not None and abs(candidate.value) >= abs(lam_new) - tol * scale:
-                return EigenResult(candidate.value, candidate.vector, it, True)
-            if it <= 3 and restarts == 0:
-                candidate = EigenResult(lam_new, x_new, it, True)
-                restarts += 1
-                x = _normalize(x_new + 0.5 * _restart_vector(d, restarts))
-                lam = lam_new
-                stall = 0
-                window_residual = math.inf
-                continue
-            return EigenResult(lam_new, x_new, it, True)
-        if abs(lam_new - lam) < tol * scale:
-            if stall == 0:
-                window_residual = residual
-            stall += 1
-            if stall >= _STALL_WINDOW:
-                # Frozen Rayleigh quotient and a residual that stopped
-                # shrinking: perturb rather than restart so accumulated
-                # dominant components survive.
-                if residual >= 0.99 * window_residual:
-                    restarts += 1
-                    x_new = _normalize(x_new + 0.5 * _restart_vector(d, restarts))
-                stall = 0
-                window_residual = math.inf
-        else:
-            stall = 0
-        x = x_new
-        lam = lam_new
-
-    if candidate is not None:
-        return EigenResult(candidate.value, candidate.vector, max_iter, True)
-    return EigenResult(lam, x, max_iter, False)
+        lam = float(x @ y)
+        if lam > 0.0 and np.linalg.norm(y - lam * x) <= _EIG_TOL * max(1.0, lam):
+            return lam, x
+        y_norm = np.linalg.norm(y)
+        if y_norm == 0.0:
+            break
+        x = y / y_norm
+    values, vectors = np.linalg.eigh(mat)
+    return float(values[-1]), vectors[:, -1]
 
 
-def max_eigenpair(
-    m,
-    tol: float = DEFAULT_EIG_TOL,
-    max_iter: int = DEFAULT_EIG_MAX_ITER,
-) -> EigenResult:
-    """Algebraically largest eigenpair of a symmetric matrix.
-
-    Power iteration finds the eigenvalue of largest magnitude; when that
-    value is negative the spectrum is shifted by -value (making it
-    nonnegative) and the iteration is rerun, so the returned value is the
-    true maximum eigenvalue, not the maximum modulus.
-    """
-    mat = as_sym_matrix(m)
-    first = top_eigenpair(mat, tol=tol, max_iter=max_iter)
-    if first.value >= 0.0:
-        return first
-    shift = -first.value
-    shifted = top_eigenpair(mat + shift * np.eye(mat.shape[0]), tol=tol, max_iter=max_iter)
-    return EigenResult(
-        shifted.value - shift,
-        shifted.vector,
-        first.iterations + shifted.iterations,
-        first.converged and shifted.converged,
-    )
-
-
-def spectral_deviation(
-    sigma,
-    tol: float = DEFAULT_EIG_TOL,
-    max_iter: int = DEFAULT_EIG_MAX_ITER,
-) -> float:
+def spectral_deviation(sigma) -> float:
     """Largest eigenvalue of (sigma - I), clamped below at 0.
 
     This is the quantity the filter compares against its termination
     threshold: only positive excess over the identity matters.
     """
-    return spectral_deviation_pair(sigma, tol=tol, max_iter=max_iter)[0]
+    return spectral_deviation_pair(sigma)[0]
 
 
-def spectral_deviation_pair(
-    sigma,
-    tol: float = DEFAULT_EIG_TOL,
-    max_iter: int = DEFAULT_EIG_MAX_ITER,
-) -> tuple[float, np.ndarray]:
+def spectral_deviation_pair(sigma) -> tuple[float, np.ndarray]:
     """spectral_deviation together with the corresponding unit direction."""
     mat = as_sym_matrix(sigma)
-    result = max_eigenpair(mat - np.eye(mat.shape[0]), tol=tol, max_iter=max_iter)
-    return max(0.0, result.value), result.vector
+    value, vector = max_eigenpair(mat - np.eye(mat.shape[0]))
+    return max(0.0, value), vector
 
 
-def spectral_norm(
-    m,
-    tol: float = DEFAULT_EIG_TOL,
-    max_iter: int = DEFAULT_EIG_MAX_ITER,
-) -> float:
+def spectral_norm(m) -> float:
     """Spectral norm max(|lambda_max|, |lambda_min|) of a symmetric matrix."""
-    mat = as_sym_matrix(m)
-    hi = max_eigenpair(mat, tol=tol, max_iter=max_iter).value
-    lo = max_eigenpair(-mat, tol=tol, max_iter=max_iter).value
-    return max(hi, lo, 0.0)
+    return float(np.max(np.abs(np.linalg.eigvalsh(as_sym_matrix(m)))))

@@ -1,8 +1,9 @@
 import hypothesis
 import numpy as np
 
-# Underflow is routine in long power-iteration runs (non-dominant components
-# decay into denormals); everything else should surface.
+# Underflow is routine in the eigen solver's power iteration: over its up to
+# d steps, non-dominant components can decay into denormals. Everything else
+# should surface.
 np.seterr(all="warn", under="ignore")
 
 hypothesis.settings.register_profile("ci", max_examples=50, deadline=None)
