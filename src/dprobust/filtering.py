@@ -1,11 +1,22 @@
 """Iterative spectral-filter mean estimator.
 
-Each round computes the survivor mean and covariance, measures how far the
-covariance sticks out above the identity, and either stops (certificate of
-robustness: the excess is below C * gamma * ln(1/gamma)) or projects onto
-the top direction and removes the most extreme tail. A survivor floor of
-ceil((1 - 2 gamma) n) rows guarantees adversarial inputs cannot drive the
-estimator to an empty set.
+Each round measures how far the survivor covariance sticks out above the
+identity, and either stops (certificate of robustness: the excess is below
+C * gamma * ln(1/gamma)) or projects onto the top direction and removes the
+most extreme tail. A survivor floor of ceil((1 - 2 gamma) n) rows
+guarantees adversarial inputs cannot drive the estimator to an empty set.
+
+A round costs O(k d^2) for the k rows it removes plus one O(n d)
+projection: the loop keeps the sums of y = x - anchor and of y y^T over the
+survivors and subtracts each round's removed rows from them, the top
+eigenpair is warm-started from the previous round's direction, and only
+the projections that can be the tail threshold are sorted. Downdated sums
+drift by rounding, so a certificate is only accepted on moments rebuilt
+two-pass from the survivors, bit-identical to empirical_covariance; the
+noise calibrated to the certificate bound never rests on a downdate. No
+periodic rebuild is made: on no known input does the drift change a
+termination or which rows are removed, so a rebuild schedule would be a
+constant with nothing to tune it against.
 """
 
 from __future__ import annotations
@@ -20,9 +31,9 @@ import numpy as np
 
 from .linalg import (
     as_dataset,
+    as_unit_vector,
     as_vector,
     empirical_covariance,
-    empirical_mean,
     spectral_deviation_pair,
 )
 from .sensitivity import RobustConfig
@@ -78,7 +89,8 @@ def _tail_slack(
     # T-dependent alternative: slack_coefficient * gamma / (T^2 ln(d ln(d/(gamma tau)))).
     inner = d * math.log(d / (gamma * tau))
     denom_log = math.log(inner) if inner > 1.0 else float("inf")
-    with np.errstate(divide="ignore"):
+    # Near T = 0 the slack is unbounded; a tiny T overflows to inf, as T = 0 gives.
+    with np.errstate(divide="ignore", over="ignore"):
         out = slack_coefficient * gamma / (np.square(t) * denom_log)
     out[t <= 0.0] = float("inf")
     return out
@@ -109,36 +121,58 @@ def filter_step(
     arr = as_dataset(data)
     n, d = arr.shape
     mu_vec = as_vector(mu, dim=d)
-    v_vec = as_vector(v, dim=d)
-    v_norm = np.linalg.norm(v_vec)
-    if abs(v_norm - 1.0) > 1e-9:
-        raise ValueError("projection direction must be a unit vector")
+    v_vec = as_unit_vector(v, d)
     if not 0.0 <= gamma < 0.5:
         raise ValueError("gamma must lie in [0, 0.5)")
-
     proj = np.abs((arr - mu_vec) @ v_vec)
-    order = np.argsort(proj, kind="stable")
-    sorted_proj = proj[order]
-    # Strict-tail count for candidate T = sorted_proj[k]: everything to the
-    # right of the last occurrence of that value.
-    tail_counts = n - np.searchsorted(sorted_proj, sorted_proj, side="right")
-    allowed = tail_coefficient * np.exp(-0.5 * np.square(sorted_proj)) + _tail_slack(
-        sorted_proj, gamma, tail_slack_coefficient, tau_dependent, tau, d
+    local = _tail_removal(
+        proj, gamma, d, tail_coefficient, tail_slack_coefficient, tau_dependent, tau
     )
-    hits = np.flatnonzero(tail_counts / n > allowed)
-    if hits.size:
-        t = sorted_proj[hits[0]]
-        return [int(i) for i in np.flatnonzero(proj > t)]
-    return [int(np.argmax(proj))]
+    return [int(i) for i in local]
+
+
+def _tail_removal(
+    proj: np.ndarray,
+    gamma: float,
+    d: int,
+    tail_coefficient: float,
+    tail_slack_coefficient: float,
+    tau_dependent: bool,
+    tau: float,
+) -> np.ndarray:
+    """filter_step's rule on projections: ascending indices into proj."""
+    n = proj.size
+
+    def allowed(t):
+        return tail_coefficient * np.exp(-0.5 * np.square(t)) + _tail_slack(
+            t, gamma, tail_slack_coefficient, tau_dependent, tau, d
+        )
+
+    # A strict tail holds at most n - 1 of n rows, so only a value with
+    # allowed < 1 can be the threshold; allowed never increases with T, so
+    # these are the largest projections. Every projection above one of them
+    # is at least the smallest of them, so sorting from there gives the same
+    # strict tail counts as sorting all n.
+    below = allowed(proj) < 1.0
+    if below.any():
+        cand = np.sort(proj[proj >= proj[below].min()])
+        # Strict-tail count for candidate T = cand[j]: everything to the
+        # right of the last occurrence of that value.
+        tail_counts = cand.size - np.searchsorted(cand, cand, side="right")
+        hits = np.flatnonzero(tail_counts / n > allowed(cand))
+        if hits.size:
+            return np.flatnonzero(proj > cand[hits[0]])
+    return np.array([np.argmax(proj)])
 
 
 def filter_gaussian_unknown_mean(data, cfg: RobustConfig) -> FilterOutcome:
     """Run the filter until the covariance certificate holds.
 
     Loop: mean, covariance, spectral deviation lambda* of (cov - I); stop
-    with CERTIFICATE once lambda* <= thresh(gamma, C), with MAX_ITERATIONS
-    after n removal rounds, or with FALLBACK_EXHAUSTED when the next
-    removal would leave fewer than max(2, ceil((1 - 2 gamma) n)) rows.
+    with CERTIFICATE once lambda* <= thresh(gamma, C) on survivor moments
+    rebuilt two-pass, with MAX_ITERATIONS after n removal rounds, or with
+    FALLBACK_EXHAUSTED when the next removal would leave fewer than
+    max(2, ceil((1 - 2 gamma) n)) rows.
     The mean of the surviving rows is returned in every case.
     """
     arr = as_dataset(data)
@@ -158,42 +192,66 @@ def filter_gaussian_unknown_mean(data, cfg: RobustConfig) -> FilterOutcome:
     threshold = thresh(cfg.gamma, cfg.c_thresh)
     floor = max(2, math.ceil((1.0 - 2.0 * cfg.gamma) * n))
 
+    # Survivor moments are held as s1 = sum y and s2 = sum y y^T with
+    # y = arr - anchor, downdated by each round's removed rows. Each rebuild
+    # re-anchors at the survivor mean, where s1 is 0 and sigma comes from
+    # empirical_covariance itself; y is dropped first, so at most three
+    # (n, d) arrays are alive.
+    def rebuild(alive):
+        subset = arr[alive]
+        anchor = subset.mean(axis=0)
+        sigma = empirical_covariance(subset, anchor)
+        return arr - anchor, np.zeros(d), alive.size * sigma, sigma
+
     alive = np.arange(n)
+    y, s1, s2, sigma = rebuild(alive)
+    exact = True
+    direction = None
     removed: list[int] = []
     iterations = 0
     while True:
-        subset = arr[alive]
-        mu = empirical_mean(subset)
-        sigma = empirical_covariance(subset, mu)
-        deviation, direction = spectral_deviation_pair(sigma)
+        deviation, direction = spectral_deviation_pair(sigma, start=direction)
 
         if deviation <= threshold:
-            term = Termination.CERTIFICATE
-            break
+            if exact:
+                term = Termination.CERTIFICATE
+                break
+            del y
+            y, s1, s2, sigma = rebuild(alive)
+            exact = True
+            continue
         if iterations >= n:
             term = Termination.MAX_ITERATIONS
             break
 
-        local = filter_step(
-            subset,
-            mu,
-            direction,
+        shift = s1 / alive.size
+        proj = np.abs((y @ direction)[alive] - shift @ direction)
+        local = _tail_removal(
+            proj,
             cfg.gamma,
-            tail_coefficient=cfg.tail_coefficient,
-            tail_slack_coefficient=cfg.tail_slack_coefficient,
-            tau_dependent=cfg.tau_dependent_tail,
-            tau=cfg.tau,
+            d,
+            cfg.tail_coefficient,
+            cfg.tail_slack_coefficient,
+            cfg.tau_dependent_tail,
+            cfg.tau,
         )
-        if alive.size - len(local) < floor:
+        if alive.size - local.size < floor:
             term = Termination.FALLBACK_EXHAUSTED
             break
 
-        removed.extend(int(i) for i in alive[local])
-        keep = np.ones(alive.size, dtype=bool)
-        keep[local] = False
-        alive = alive[keep]
+        gone = alive[local]
+        rows = y[gone]
+        s1 -= rows.sum(axis=0)
+        s2 -= rows.T @ rows
+        removed.extend(gone.tolist())
+        alive = np.delete(alive, local)
+        shift = s1 / alive.size
+        sigma = s2 / alive.size - np.outer(shift, shift)
+        sigma = 0.5 * (sigma + sigma.T)
+        exact = False
         iterations += 1
 
+    surviving = arr[alive]
     diagnostics = FilterDiagnostics(
         iterations=iterations,
         removed_indices=removed,
@@ -201,7 +259,7 @@ def filter_gaussian_unknown_mean(data, cfg: RobustConfig) -> FilterOutcome:
         threshold=threshold,
         terminated_by=term,
     )
-    return FilterOutcome(mean=mu, surviving=arr[alive], diagnostics=diagnostics)
+    return FilterOutcome(mean=surviving.mean(axis=0), surviving=surviving, diagnostics=diagnostics)
 
 
 def symmetric_difference_ratio(original, surviving) -> float:

@@ -6,7 +6,8 @@ covariance-like matrices are exactly symmetrized (d, d) arrays. The only
 nontrivial numerics is the top eigenpair of a symmetric matrix: a
 deterministic power iteration, which settles the large spectral gaps a
 planted cluster produces in a few steps, with a dense eigendecomposition
-after d unsettled steps.
+after d unsettled steps. A caller that solves a sequence of nearby
+matrices (the filter loop) passes the previous direction as the start.
 """
 
 from __future__ import annotations
@@ -47,6 +48,14 @@ def as_vector(v, dim: int | None = None) -> np.ndarray:
     return arr
 
 
+def as_unit_vector(v, dim: int) -> np.ndarray:
+    """Validate and return v as a (dim,) vector of unit length (within 1e-9)."""
+    arr = as_vector(v, dim=dim)
+    if abs(np.linalg.norm(arr) - 1.0) > 1e-9:
+        raise ValueError("direction must be a unit vector")
+    return arr
+
+
 def as_sym_matrix(m, atol: float = SYMMETRY_ATOL) -> np.ndarray:
     """Validate m as a finite symmetric square matrix (within atol)."""
     arr = np.asarray(m, dtype=float)
@@ -81,21 +90,27 @@ def empirical_covariance(data, center) -> np.ndarray:
     return 0.5 * (cov + cov.T)
 
 
-def max_eigenpair(m) -> tuple[float, np.ndarray]:
+def max_eigenpair(m, start=None) -> tuple[float, np.ndarray]:
     """Algebraically largest eigenvalue of a symmetric matrix, with a unit
     eigenvector.
 
-    Power iteration from a fixed pseudo-random unit vector accepts the
-    iterate x once its Rayleigh quotient lam > 0 and ||M x - lam x|| <=
-    1e-7 * max(1, lam). A step costs about 2 d^2 flops, so d steps cost
-    about one np.linalg.eigh, which takes over when they do not settle
-    (small spectral gap, or a negative-dominant spectrum); its failures
-    raise LinAlgError.
+    Power iteration from start (a unit vector; by default a fixed
+    pseudo-random one) accepts the iterate x once its Rayleigh quotient
+    lam > 0 and ||M x - lam x|| <= 1e-7 * max(1, lam). A step costs about
+    2 d^2 flops, so d steps cost about one np.linalg.eigh, which takes over
+    when they do not settle (small spectral gap, or a negative-dominant
+    spectrum); its failures raise LinAlgError.
     """
-    mat = as_sym_matrix(m)
+    return _power_eigenpair(as_sym_matrix(m), start)
+
+
+def _power_eigenpair(mat: np.ndarray, start) -> tuple[float, np.ndarray]:
     d = mat.shape[0]
-    x = np.random.Generator(np.random.Philox(key=_START_KEY)).standard_normal(d)
-    x /= np.linalg.norm(x)
+    if start is None:
+        x = np.random.Generator(np.random.Philox(key=_START_KEY)).standard_normal(d)
+        x /= np.linalg.norm(x)
+    else:
+        x = as_unit_vector(start, d)
     for _ in range(d):
         y = mat @ x
         lam = float(x @ y)
@@ -118,10 +133,11 @@ def spectral_deviation(sigma) -> float:
     return spectral_deviation_pair(sigma)[0]
 
 
-def spectral_deviation_pair(sigma) -> tuple[float, np.ndarray]:
-    """spectral_deviation together with the corresponding unit direction."""
+def spectral_deviation_pair(sigma, start=None) -> tuple[float, np.ndarray]:
+    """spectral_deviation together with the corresponding unit direction;
+    start is passed to max_eigenpair."""
     mat = as_sym_matrix(sigma)
-    value, vector = max_eigenpair(mat - np.eye(mat.shape[0]))
+    value, vector = _power_eigenpair(mat - np.eye(mat.shape[0]), start)
     return max(0.0, value), vector
 
 

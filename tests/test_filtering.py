@@ -1,4 +1,9 @@
-"""Filter mechanics: threshold, tail rule, full loop, and set accounting."""
+"""Filter mechanics: threshold, tail rule, full loop, and set accounting.
+
+Oracles: a full-sort version of the tail rule for its candidate-only form,
+and an exact-moment loop (two-pass survivor moments, np.linalg.eigh and
+filter_step every round) for the loop's downdated moments.
+"""
 
 import math
 from collections import Counter
@@ -11,6 +16,8 @@ from hypothesis import strategies as st
 from dprobust.filtering import (
     SampleSizeWarning,
     Termination,
+    _tail_removal,
+    _tail_slack,
     filter_gaussian_unknown_mean,
     filter_step,
     symmetric_difference_ratio,
@@ -18,7 +25,7 @@ from dprobust.filtering import (
 )
 from dprobust.linalg import empirical_covariance, empirical_mean, spectral_deviation
 from dprobust.sensitivity import RobustConfig, robust_error_bound
-from dprobust.datagen import ConstantCluster, corrupt, sample_gaussian
+from dprobust.datagen import ConstantCluster, DirectionalSpread, corrupt, sample_gaussian
 
 # Several cases deliberately run below the d/gamma^2 guideline; the warning
 # itself is exercised explicitly in test_sample_size_warning.
@@ -30,6 +37,98 @@ def oracle_symmetric_difference(a_rows, b_rows):
     cb = Counter(tuple(r) for r in b_rows)
     keys = set(ca) | set(cb)
     return sum(abs(ca[k] - cb[k]) for k in keys) / len(a_rows)
+
+
+def full_sort_tail_rule(proj, gamma, d, tail_coefficient, slack_coefficient, tau_dependent, tau):
+    # The tail rule over every projection: sort all n, count each strict tail.
+    n = proj.size
+    sorted_proj = np.sort(proj)
+    tail_counts = n - np.searchsorted(sorted_proj, sorted_proj, side="right")
+    allowed = tail_coefficient * np.exp(-0.5 * np.square(sorted_proj)) + _tail_slack(
+        sorted_proj, gamma, slack_coefficient, tau_dependent, tau, d
+    )
+    hits = np.flatnonzero(tail_counts / n > allowed)
+    if hits.size:
+        return [int(i) for i in np.flatnonzero(proj > sorted_proj[hits[0]])]
+    return [int(np.argmax(proj))]
+
+
+def exact_moment_filter(data, cfg):
+    """The filter loop with exact moments: every round takes the survivor
+    mean and two-pass covariance, the top pair of (cov - I) from
+    np.linalg.eigh, and filter_step on the survivor copy."""
+    arr = np.asarray(data, dtype=float)
+    n, d = arr.shape
+    threshold = thresh(cfg.gamma, cfg.c_thresh)
+    floor = max(2, math.ceil((1.0 - 2.0 * cfg.gamma) * n))
+    alive = np.arange(n)
+    removed = []
+    iterations = 0
+    while True:
+        subset = arr[alive]
+        mu = empirical_mean(subset)
+        values, vectors = np.linalg.eigh(empirical_covariance(subset, mu) - np.eye(d))
+        deviation = max(0.0, float(values[-1]))
+        if deviation <= threshold:
+            term = Termination.CERTIFICATE
+            break
+        if iterations >= n:
+            term = Termination.MAX_ITERATIONS
+            break
+        local = filter_step(
+            subset,
+            mu,
+            vectors[:, -1],
+            cfg.gamma,
+            tail_coefficient=cfg.tail_coefficient,
+            tail_slack_coefficient=cfg.tail_slack_coefficient,
+            tau_dependent=cfg.tau_dependent_tail,
+            tau=cfg.tau,
+        )
+        if alive.size - len(local) < floor:
+            term = Termination.FALLBACK_EXHAUSTED
+            break
+        removed.extend(int(i) for i in alive[local])
+        alive = np.delete(alive, local)
+        iterations += 1
+    return mu, removed, deviation, term, iterations
+
+
+def _attacked(n, d, gamma, adversary, seed):
+    clean = sample_gaussian(n, d, 0.0, seed=seed)
+    return corrupt(clean, gamma, adversary, seed=seed + 1, fixed_count=True)[0]
+
+
+CERT = Termination.CERTIFICATE
+# name: (data, config, ending, rounds allowed)
+PARITY_CASES = {
+    # One removal per round, 197 rounds.
+    "constant_cluster": (
+        lambda: _attacked(2000, 10, 0.1, ConstantCluster(offset=10.0), 71),
+        RobustConfig(gamma=0.1),
+        CERT,
+        range(101, 2000),
+    ),
+    "directional_spread": (
+        lambda: _attacked(2000, 10, 0.1, DirectionalSpread(), 73),
+        RobustConfig(gamma=0.1),
+        CERT,
+        range(1, 2000),
+    ),
+    "clean_round_zero": (lambda: sample_gaussian(3000, 10, 0.0, seed=75), RobustConfig(gamma=0.1), CERT, range(1)),
+    "gamma_one_over_n": (
+        lambda: sample_gaussian(500, 5, 0.0, seed=77),
+        RobustConfig(gamma=1.0 / 500),
+        Termination.FALLBACK_EXHAUSTED,
+        range(500),
+    ),
+    "tau_dependent_tail": (
+        lambda: _attacked(2000, 10, 0.1, ConstantCluster(offset=10.0), 79),
+        RobustConfig(gamma=0.1, tau_dependent_tail=True),
+        CERT,
+        range(1, 2000),
+    ),
+}
 
 
 class TestThresh:
@@ -109,8 +208,49 @@ class TestFilterStep:
         with pytest.raises(ValueError):
             filter_step(np.empty((0, 2)), np.zeros(2), np.array([1.0, 0.0]), 0.1)
 
+    @given(
+        st.lists(
+            st.floats(min_value=0.0, max_value=12.0) | st.sampled_from([0.0, 1.0, 2.72, 3.0, 9.0]),
+            min_size=1,
+            max_size=60,
+        ),
+        st.sampled_from(["mixed", "above", "below"]),
+        st.floats(min_value=1e-3, max_value=0.49),
+        st.integers(min_value=1, max_value=300),
+        st.floats(min_value=0.1, max_value=20.0),
+        st.floats(min_value=0.1, max_value=20.0),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_candidate_rule_matches_full_sort(self, values, place, gamma, d, coef, slack, dependent):
+        proj = np.array(values)
+        if place == "above":  # every projection a candidate at the default constants
+            proj = proj + 2.73
+        elif place == "below":
+            proj = proj * (2.7 / 12.0)
+        args = (gamma, d, coef, slack, dependent, 0.05)
+        assert _tail_removal(proj, *args).tolist() == full_sort_tail_rule(proj, *args)
+
 
 class TestFilterLoop:
+    @pytest.mark.parametrize("case", PARITY_CASES)
+    def test_matches_exact_moment_oracle(self, case):
+        make, cfg, ending, rounds = PARITY_CASES[case]
+        data = make()
+        mean, removed, deviation, term, iterations = exact_moment_filter(data, cfg)
+        assert term is ending and iterations in rounds  # the case tests what it names
+        out = filter_gaussian_unknown_mean(data, cfg)
+        diag = out.diagnostics
+        assert diag.terminated_by is term
+        assert diag.iterations == iterations
+        # Indices may differ among identical planted rows; the rows may not.
+        assert Counter(data[i].tobytes() for i in diag.removed_indices) == Counter(
+            data[i].tobytes() for i in removed
+        )
+        assert np.max(np.abs(out.mean - mean)) <= 1e-9
+        if term is Termination.CERTIFICATE:
+            assert diag.final_spectral_deviation == pytest.approx(deviation, abs=1e-12)
+
     def test_repeated_single_point(self):
         data = np.tile(np.array([4.0, -2.0, 7.0]), (50, 1))
         out = filter_gaussian_unknown_mean(data, RobustConfig(gamma=0.1, c_thresh=1.0))

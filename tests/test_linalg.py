@@ -164,6 +164,28 @@ class TestMaxEigenpair:
         with pytest.raises(ValueError):
             max_eigenpair(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize(
+        "m",
+        [np.diag([3.0, 1.0]), np.array([[2.0, -2.0], [-2.0, 2.0]]), random_symmetric(0) + 4.0 * np.eye(5)],
+        ids=["diagonal", "nullspace_start", "shifted_random"],
+    )
+    def test_exact_start_returned_without_eigh(self, m, monkeypatch):
+        values, vectors = np.linalg.eigh(m)
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+        value, vector = max_eigenpair(m, start=vectors[:, -1])
+        assert calls == []
+        assert np.array_equal(vector, vectors[:, -1])
+        assert value == pytest.approx(values[-1], abs=1e-12)
+
+    @pytest.mark.parametrize("start", [[2.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0], [float("nan"), 1.0]])
+    def test_bad_start_rejected(self, start):
+        with pytest.raises(ValueError):
+            max_eigenpair(np.diag([3.0, 1.0]), start=start)
+        with pytest.raises(ValueError):
+            spectral_deviation_pair(np.diag([3.0, 1.0]), start=start)
+
 
 class TestSpectralDeviation:
     def test_identity_exact_zero(self):
