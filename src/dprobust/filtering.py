@@ -9,14 +9,15 @@ guarantees adversarial inputs cannot drive the estimator to an empty set.
 A round costs O(k d^2) for the k rows it removes plus one O(n d)
 projection: the loop keeps the sums of y = x - anchor and of y y^T over the
 survivors and subtracts each round's removed rows from them, the top
-eigenpair is warm-started from the previous round's direction, and only
-the projections that can be the tail threshold are sorted. Downdated sums
-drift by rounding, so a certificate is only accepted on moments rebuilt
-two-pass from the survivors, bit-identical to empirical_covariance; the
-noise calibrated to the certificate bound never rests on a downdate. No
-periodic rebuild is made: on no known input does the drift change a
-termination or which rows are removed, so a rebuild schedule would be a
-constant with nothing to tune it against.
+eigenpair of a removal round is warm-started from the previous round's
+direction, and only the projections that can be the tail threshold are
+sorted. Downdated sums drift by rounding, so a certificate is only
+accepted on moments rebuilt two-pass from the survivors, bit-identical to
+empirical_covariance, and solved from the cold start; the noise
+calibrated to the certificate bound rests on neither a downdate nor a
+warm start. No periodic rebuild is made: on no known input does the
+drift change a termination or which rows are removed, so a rebuild
+schedule would be a constant with nothing to tune it against.
 """
 
 from __future__ import annotations
@@ -206,11 +207,12 @@ def filter_gaussian_unknown_mean(data, cfg: RobustConfig) -> FilterOutcome:
     alive = np.arange(n)
     y, s1, s2, sigma = rebuild(alive)
     exact = True
-    direction = None
     removed: list[int] = []
     iterations = 0
     while True:
-        deviation, direction = spectral_deviation_pair(sigma, start=direction)
+        # Exact moments are solved from the cold start, so a certificate
+        # rests on the same solve as without the warm start.
+        deviation, direction = spectral_deviation_pair(sigma, start=None if exact else direction)
 
         if deviation <= threshold:
             if exact:

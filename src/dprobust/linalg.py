@@ -7,7 +7,9 @@ nontrivial numerics is the top eigenpair of a symmetric matrix: a
 deterministic power iteration, which settles the large spectral gaps a
 planted cluster produces in a few steps, with a dense eigendecomposition
 after d unsettled steps. A caller that solves a sequence of nearby
-matrices (the filter loop) passes the previous direction as the start.
+matrices (the filter loop) may pass the previous direction as the start
+of spectral_deviation_pair; a pair settled from such a start is only
+returned once a Cholesky factorization shows no eigenvalue above it.
 """
 
 from __future__ import annotations
@@ -90,21 +92,21 @@ def empirical_covariance(data, center) -> np.ndarray:
     return 0.5 * (cov + cov.T)
 
 
-def max_eigenpair(m, start=None) -> tuple[float, np.ndarray]:
+def max_eigenpair(m) -> tuple[float, np.ndarray]:
     """Algebraically largest eigenvalue of a symmetric matrix, with a unit
     eigenvector.
 
-    Power iteration from start (a unit vector; by default a fixed
-    pseudo-random one) accepts the iterate x once its Rayleigh quotient
-    lam > 0 and ||M x - lam x|| <= 1e-7 * max(1, lam). A step costs about
-    2 d^2 flops, so d steps cost about one np.linalg.eigh, which takes over
-    when they do not settle (small spectral gap, or a negative-dominant
-    spectrum); its failures raise LinAlgError.
+    Power iteration from a fixed pseudo-random unit vector accepts the
+    iterate x once its Rayleigh quotient lam > 0 and
+    ||M x - lam x|| <= 1e-7 * max(1, lam). A step costs about 2 d^2 flops,
+    so d steps cost about one np.linalg.eigh, which takes over when they do
+    not settle (small spectral gap, or a negative-dominant spectrum); its
+    failures raise LinAlgError.
     """
-    return _power_eigenpair(as_sym_matrix(m), start)
+    return _power_eigenpair(as_sym_matrix(m))
 
 
-def _power_eigenpair(mat: np.ndarray, start) -> tuple[float, np.ndarray]:
+def _power_eigenpair(mat: np.ndarray, start=None) -> tuple[float, np.ndarray]:
     d = mat.shape[0]
     if start is None:
         x = np.random.Generator(np.random.Philox(key=_START_KEY)).standard_normal(d)
@@ -114,7 +116,18 @@ def _power_eigenpair(mat: np.ndarray, start) -> tuple[float, np.ndarray]:
     for _ in range(d):
         y = mat @ x
         lam = float(x @ y)
-        if lam > 0.0 and np.linalg.norm(y - lam * x) <= _EIG_TOL * max(1.0, lam):
+        tol = _EIG_TOL * max(1.0, lam)
+        if lam > 0.0 and np.linalg.norm(y - lam * x) <= tol:
+            if start is None:  # a component along every eigenvector
+                return lam, x
+            # A warm start can settle on a lower eigenvector (one it already
+            # is). No eigenvalue lies above lam + tol when (lam + tol) I - M
+            # is positive definite, which a Cholesky factorization (d^3 / 3
+            # flops) shows.
+            try:
+                np.linalg.cholesky((lam + tol) * np.eye(d) - mat)
+            except np.linalg.LinAlgError:
+                break
             return lam, x
         y_norm = np.linalg.norm(y)
         if y_norm == 0.0:
@@ -134,8 +147,11 @@ def spectral_deviation(sigma) -> float:
 
 
 def spectral_deviation_pair(sigma, start=None) -> tuple[float, np.ndarray]:
-    """spectral_deviation together with the corresponding unit direction;
-    start is passed to max_eigenpair."""
+    """spectral_deviation together with the corresponding unit direction.
+
+    start, a unit vector, replaces max_eigenpair's fixed start; the pair
+    returned is still the top one.
+    """
     mat = as_sym_matrix(sigma)
     value, vector = _power_eigenpair(mat - np.eye(mat.shape[0]), start)
     return max(0.0, value), vector

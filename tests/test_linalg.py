@@ -164,28 +164,6 @@ class TestMaxEigenpair:
         with pytest.raises(ValueError):
             max_eigenpair(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
-    @pytest.mark.parametrize(
-        "m",
-        [np.diag([3.0, 1.0]), np.array([[2.0, -2.0], [-2.0, 2.0]]), random_symmetric(0) + 4.0 * np.eye(5)],
-        ids=["diagonal", "nullspace_start", "shifted_random"],
-    )
-    def test_exact_start_returned_without_eigh(self, m, monkeypatch):
-        values, vectors = np.linalg.eigh(m)
-        calls = []
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
-        value, vector = max_eigenpair(m, start=vectors[:, -1])
-        assert calls == []
-        assert np.array_equal(vector, vectors[:, -1])
-        assert value == pytest.approx(values[-1], abs=1e-12)
-
-    @pytest.mark.parametrize("start", [[2.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0], [float("nan"), 1.0]])
-    def test_bad_start_rejected(self, start):
-        with pytest.raises(ValueError):
-            max_eigenpair(np.diag([3.0, 1.0]), start=start)
-        with pytest.raises(ValueError):
-            spectral_deviation_pair(np.diag([3.0, 1.0]), start=start)
-
 
 class TestSpectralDeviation:
     def test_identity_exact_zero(self):
@@ -240,6 +218,43 @@ class TestSpectralDeviation:
         assert spectral_deviation(rotated) == pytest.approx(
             spectral_deviation(base), abs=1e-8
         )
+
+
+    # Matrices m = sigma - I with their top pairs, for warm starts.
+    START_CASES = {
+        "diagonal": np.diag([3.0, 1.0]),
+        "nullspace_start": np.array([[2.0, -2.0], [-2.0, 2.0]]),
+        "ones_not_top": np.array([[3.0, -1.0], [-1.0, 3.0]]),
+        "shifted_random": random_symmetric(0) + 4.0 * np.eye(5),
+    }
+
+    @pytest.mark.parametrize("case", START_CASES)
+    def test_exact_start_returned_without_eigh(self, case, monkeypatch):
+        m = self.START_CASES[case]
+        values, vectors = np.linalg.eigh(m)
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+        value, vector = spectral_deviation_pair(m + np.eye(len(m)), start=vectors[:, -1])
+        assert calls == []
+        assert np.array_equal(vector, vectors[:, -1])
+        assert value == pytest.approx(values[-1], abs=1e-12)
+
+    @pytest.mark.parametrize("case", ["diagonal", "ones_not_top", "shifted_random"])
+    def test_lower_eigenvector_start_still_gives_top_pair(self, case):
+        # The start is an exact eigenvector with a positive eigenvalue below
+        # the top one: power iteration settles on it at once.
+        m = self.START_CASES[case]
+        values, vectors = np.linalg.eigh(m)
+        value, vector = spectral_deviation_pair(m + np.eye(len(m)), start=vectors[:, -2])
+        assert values[-2] > 0.0
+        assert value == pytest.approx(values[-1], abs=1e-8)
+        assert residual(m, value, vector) <= 1e-7 * max(1.0, value)
+
+    @pytest.mark.parametrize("start", [[2.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0], [float("nan"), 1.0]])
+    def test_bad_start_rejected(self, start):
+        with pytest.raises(ValueError):
+            spectral_deviation_pair(np.diag([3.0, 1.0]), start=start)
 
 
 class TestSpectralNorm:
