@@ -18,6 +18,13 @@ calibrated to the certificate bound rests on neither a downdate nor a
 warm start. No periodic rebuild is made: on no known input does the
 drift change a termination or which rows are removed, so a rebuild
 schedule would be a constant with nothing to tune it against.
+
+Validation happens once per kind of input: the data on entry (finite,
+(n, d)), and every set of exact moments (round 0 and each rebuild) in
+spectral_deviation_pair, which rejects a covariance that overflowed to
+non-finite entries. A removal round builds sigma - I in place from the
+downdated sums of those same rows, exactly symmetric by construction, and
+hands it to the linalg module's private solver without checking it again.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from enum import Enum
 import numpy as np
 
 from .linalg import (
+    _power_eigenpair,
     as_dataset,
     as_unit_vector,
     as_vector,
@@ -210,9 +218,13 @@ def filter_gaussian_unknown_mean(data, cfg: RobustConfig) -> FilterOutcome:
     removed: list[int] = []
     iterations = 0
     while True:
-        # Exact moments are solved from the cold start, so a certificate
-        # rests on the same solve as without the warm start.
-        deviation, direction = spectral_deviation_pair(sigma, start=None if exact else direction)
+        if exact:
+            # Exact moments are validated and solved from the cold start, so
+            # a certificate rests on the same solve as without the warm start.
+            deviation, direction = spectral_deviation_pair(sigma)
+        else:
+            value, direction = _power_eigenpair(sigma_minus_identity, direction)
+            deviation = max(0.0, value)
 
         if deviation <= threshold:
             if exact:
@@ -247,9 +259,12 @@ def filter_gaussian_unknown_mean(data, cfg: RobustConfig) -> FilterOutcome:
         s2 -= rows.T @ rows
         removed.extend(gone.tolist())
         alive = np.delete(alive, local)
+        # s2 stays exactly symmetric (numpy forms rows.T @ rows as a
+        # symmetric rank-k update), and so does sigma - I.
         shift = s1 / alive.size
-        sigma = s2 / alive.size - np.outer(shift, shift)
-        sigma = 0.5 * (sigma + sigma.T)
+        sigma_minus_identity = s2 / alive.size
+        sigma_minus_identity -= np.outer(shift, shift)
+        sigma_minus_identity.flat[:: d + 1] -= 1.0
         exact = False
         iterations += 1
 

@@ -6,13 +6,17 @@ covariance-like matrices are exactly symmetrized (d, d) arrays. The only
 nontrivial numerics is the top eigenpair of a symmetric matrix: a
 deterministic power iteration, which settles the large spectral gaps a
 planted cluster produces in a few steps, with a dense eigendecomposition
-after d unsettled steps. A caller that solves a sequence of nearby
-matrices (the filter loop) may pass the previous direction as the start
-of spectral_deviation_pair; a pair settled from such a start is only
+taking over once the residual's measured contraction shows that it cannot
+settle within d steps. The public functions validate their matrix; the
+filter loop, which solves a sequence of nearby matrices it builds itself
+from validated rows, calls _power_eigenpair directly and may start it
+from the previous direction. A pair settled from such a start is only
 returned once a Cholesky factorization shows no eigenvalue above it.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -99,37 +103,53 @@ def max_eigenpair(m) -> tuple[float, np.ndarray]:
     Power iteration from a fixed pseudo-random unit vector accepts the
     iterate x once its Rayleigh quotient lam > 0 and
     ||M x - lam x|| <= 1e-7 * max(1, lam). A step costs about 2 d^2 flops,
-    so d steps cost about one np.linalg.eigh, which takes over when they do
-    not settle (small spectral gap, or a negative-dominant spectrum); its
-    failures raise LinAlgError.
+    so d steps cost about one np.linalg.eigh. The iteration hands off to
+    eigh (whose failures raise LinAlgError) as soon as the residual, shrunk
+    by its last step's ratio for every step left of those d, would still
+    miss the tolerance: a small spectral gap, or a negative-dominant
+    spectrum, settles no sooner than that.
     """
     return _power_eigenpair(as_sym_matrix(m))
 
 
 def _power_eigenpair(mat: np.ndarray, start=None) -> tuple[float, np.ndarray]:
+    """max_eigenpair of a finite, exactly symmetric mat, which is not checked;
+    start, a unit vector, replaces the fixed start."""
     d = mat.shape[0]
     if start is None:
         x = np.random.Generator(np.random.Philox(key=_START_KEY)).standard_normal(d)
-        x /= np.linalg.norm(x)
+        x /= math.sqrt(x @ x)
     else:
         x = as_unit_vector(start, d)
-    for _ in range(d):
+    res_prev = math.inf
+    for left in range(d - 1, -1, -1):
         y = mat @ x
         lam = float(x @ y)
         tol = _EIG_TOL * max(1.0, lam)
-        if lam > 0.0 and np.linalg.norm(y - lam * x) <= tol:
+        r = y - lam * x
+        res = math.sqrt(r @ r)
+        if lam > 0.0 and res <= tol:
             if start is None:  # a component along every eigenvector
                 return lam, x
             # A warm start can settle on a lower eigenvector (one it already
             # is). No eigenvalue lies above lam + tol when (lam + tol) I - M
             # is positive definite, which a Cholesky factorization (d^3 / 3
             # flops) shows.
+            shifted = -mat
+            shifted.flat[:: d + 1] += lam + tol
             try:
-                np.linalg.cholesky((lam + tol) * np.eye(d) - mat)
+                np.linalg.cholesky(shifted)
             except np.linalg.LinAlgError:
                 break
             return lam, x
-        y_norm = np.linalg.norm(y)
+        # Once the start's transient has passed, the residual shrinks by a
+        # ratio that only grows, towards |lambda_2 / lambda_1|: at its last
+        # ratio, the steps left would end above tol. An early hand-off costs
+        # one eigh, never a wrong pair.
+        if res < res_prev and res * (res / res_prev) ** left > tol:
+            break
+        res_prev = res
+        y_norm = math.sqrt(y @ y)
         if y_norm == 0.0:
             break
         x = y / y_norm
@@ -146,14 +166,10 @@ def spectral_deviation(sigma) -> float:
     return spectral_deviation_pair(sigma)[0]
 
 
-def spectral_deviation_pair(sigma, start=None) -> tuple[float, np.ndarray]:
-    """spectral_deviation together with the corresponding unit direction.
-
-    start, a unit vector, replaces max_eigenpair's fixed start; the pair
-    returned is still the top one.
-    """
+def spectral_deviation_pair(sigma) -> tuple[float, np.ndarray]:
+    """spectral_deviation together with the corresponding unit direction."""
     mat = as_sym_matrix(sigma)
-    value, vector = _power_eigenpair(mat - np.eye(mat.shape[0]), start)
+    value, vector = _power_eigenpair(mat - np.eye(mat.shape[0]))
     return max(0.0, value), vector
 
 

@@ -23,6 +23,7 @@ from dprobust.filtering import (
     symmetric_difference_ratio,
     thresh,
 )
+from dprobust.estimators import dp_robust_mean
 from dprobust.linalg import empirical_covariance, empirical_mean, spectral_deviation
 from dprobust.sensitivity import RobustConfig, robust_error_bound
 from dprobust.datagen import ConstantCluster, DirectionalSpread, corrupt, sample_gaussian
@@ -146,6 +147,14 @@ PARITY_CASES = {
         RobustConfig(gamma=0.1, tau_dependent_tail=True),
         CERT,
         range(1, 2000),
+    ),
+    # Far below the d/gamma^2 guideline: about half of the 200 removal
+    # rounds end in np.linalg.eigh, most of them handed off early.
+    "unsettled_rounds": (
+        lambda: _attacked(1000, 60, 0.1, ConstantCluster(offset=10.0), 83),
+        RobustConfig(gamma=0.1),
+        Termination.FALLBACK_EXHAUSTED,
+        range(200, 201),
     ),
 }
 
@@ -351,6 +360,18 @@ class TestFilterLoop:
         diag = out.diagnostics
         assert diag.terminated_by in (Termination.FALLBACK_EXHAUSTED, Termination.MAX_ITERATIONS)
         assert out.surviving.shape[0] >= max(2, math.ceil(0.6 * 100))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_moments_rejected(self):
+        # Finite rows whose second moments overflow: the exact moments of
+        # round 0 are validated, so both the filter and the release raise.
+        data = sample_gaussian(200, 3, 0.0, seed=0)
+        data[:5] = 1e200
+        cfg = RobustConfig(gamma=0.1)
+        with pytest.raises(ValueError, match="non-finite entries"):
+            filter_gaussian_unknown_mean(data, cfg)
+        with pytest.raises(ValueError, match="non-finite entries"):
+            dp_robust_mean(data, cfg, epsilon=1.0, seed=0)
 
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):

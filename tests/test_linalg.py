@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dprobust.linalg import (
+    _power_eigenpair,
     empirical_covariance,
     empirical_mean,
     max_eigenpair,
@@ -164,6 +165,33 @@ class TestMaxEigenpair:
         with pytest.raises(ValueError):
             max_eigenpair(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_unsettled_iteration_hands_off_early(self, monkeypatch):
+        # A top gap of 1e-9 and the rest of the spectrum in [0.9, 0.99]: the
+        # residual contracts by about 0.95 a step, so d = 60 steps cannot
+        # reach 1e-7, which the first measured ratio already shows.
+        d = 60
+        rng = np.random.default_rng(41)
+        eigs = np.concatenate([rng.uniform(0.9, 0.99, size=d - 2), [1.0 - 1e-9, 1.0]])
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        m = q @ np.diag(eigs) @ q.T
+        m = (m + m.T) / 2.0
+        values, vectors = np.linalg.eigh(m)
+
+        class CountingMatrix(np.ndarray):
+            def __matmul__(self, other):
+                self.products += 1
+                return np.asarray(self) @ other
+
+        counted = m.view(CountingMatrix)
+        counted.products = 0
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(counted.products) or eigh(*a, **k))
+        value, vector = _power_eigenpair(counted)
+        assert calls and calls[0] < d
+        assert value == float(values[-1])
+        assert np.array_equal(vector, vectors[:, -1])
+
 
 class TestSpectralDeviation:
     def test_identity_exact_zero(self):
@@ -220,7 +248,8 @@ class TestSpectralDeviation:
         )
 
 
-    # Matrices m = sigma - I with their top pairs, for warm starts.
+    # Matrices m = sigma - I with their top pairs, for the warm starts the
+    # filter loop gives _power_eigenpair.
     START_CASES = {
         "diagonal": np.diag([3.0, 1.0]),
         "nullspace_start": np.array([[2.0, -2.0], [-2.0, 2.0]]),
@@ -235,7 +264,7 @@ class TestSpectralDeviation:
         calls = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
-        value, vector = spectral_deviation_pair(m + np.eye(len(m)), start=vectors[:, -1])
+        value, vector = _power_eigenpair(m, start=vectors[:, -1])
         assert calls == []
         assert np.array_equal(vector, vectors[:, -1])
         assert value == pytest.approx(values[-1], abs=1e-12)
@@ -246,7 +275,7 @@ class TestSpectralDeviation:
         # the top one: power iteration settles on it at once.
         m = self.START_CASES[case]
         values, vectors = np.linalg.eigh(m)
-        value, vector = spectral_deviation_pair(m + np.eye(len(m)), start=vectors[:, -2])
+        value, vector = _power_eigenpair(m, start=vectors[:, -2])
         assert values[-2] > 0.0
         assert value == pytest.approx(values[-1], abs=1e-8)
         assert residual(m, value, vector) <= 1e-7 * max(1.0, value)
@@ -254,7 +283,7 @@ class TestSpectralDeviation:
     @pytest.mark.parametrize("start", [[2.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0], [float("nan"), 1.0]])
     def test_bad_start_rejected(self, start):
         with pytest.raises(ValueError):
-            spectral_deviation_pair(np.diag([3.0, 1.0]), start=start)
+            _power_eigenpair(np.diag([3.0, 1.0]), start=start)
 
 
 class TestSpectralNorm:
