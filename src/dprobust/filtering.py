@@ -181,7 +181,9 @@ def filter_gaussian_unknown_mean(data, cfg: RobustConfig) -> FilterOutcome:
     with CERTIFICATE once lambda* <= thresh(gamma, C) on survivor moments
     rebuilt two-pass, with MAX_ITERATIONS after n removal rounds, or with
     FALLBACK_EXHAUSTED when the next removal would leave fewer than
-    max(2, ceil((1 - 2 gamma) n)) rows.
+    max(2, ceil((1 - 2 gamma) n)) rows. A tail set that would breach that
+    floor is replaced by the single row of largest projection, and the
+    run ends only when removing that row, too, would breach it.
     The mean of the surviving rows is returned in every case.
     """
     arr = as_dataset(data)
@@ -249,6 +251,10 @@ def filter_gaussian_unknown_mean(data, cfg: RobustConfig) -> FilterOutcome:
             cfg.tau_dependent_tail,
             cfg.tau,
         )
+        if alive.size - local.size < floor and local.size > 1:
+            # A few far outliers move the mean so that every clean row sits
+            # in the tail: remove only the most extreme row.
+            local = np.array([np.argmax(proj)])
         if alive.size - local.size < floor:
             term = Termination.FALLBACK_EXHAUSTED
             break

@@ -57,7 +57,8 @@ def full_sort_tail_rule(proj, gamma, d, tail_coefficient, slack_coefficient, tau
 def exact_moment_filter(data, cfg):
     """The filter loop with exact moments: every round takes the survivor
     mean and two-pass covariance, the top pair of (cov - I) from
-    np.linalg.eigh, and filter_step on the survivor copy."""
+    np.linalg.eigh, and filter_step on the survivor copy, cut to its
+    largest projection when it would breach the survivor floor."""
     arr = np.asarray(data, dtype=float)
     n, d = arr.shape
     threshold = thresh(cfg.gamma, cfg.c_thresh)
@@ -86,6 +87,8 @@ def exact_moment_filter(data, cfg):
             tau_dependent=cfg.tau_dependent_tail,
             tau=cfg.tau,
         )
+        if alive.size - len(local) < floor and len(local) > 1:
+            local = [int(np.argmax(np.abs((subset - mu) @ vectors[:, -1])))]
         if alive.size - len(local) < floor:
             term = Termination.FALLBACK_EXHAUSTED
             break
@@ -349,6 +352,18 @@ class TestFilterLoop:
         multiset_b = Counter(row.tobytes() for row in out_b.surviving)
         assert multiset_a == multiset_b
         assert np.max(np.abs(out_a.mean - out_b.mean)) <= 1e-10
+
+    @pytest.mark.parametrize("k", [2, 20, 100])
+    def test_far_outliers_removed(self, k):
+        # k rows moved by 1e4 e1 push every clean projection into the tail
+        # set, which would breach the floor; the loop removes them one by one.
+        data = sample_gaussian(4000, 20, 0.0, seed=0)
+        data[:k, 0] += 1e4
+        out = filter_gaussian_unknown_mean(data, RobustConfig(gamma=0.1))
+        diag = out.diagnostics
+        assert diag.terminated_by is Termination.CERTIFICATE
+        assert sorted(diag.removed_indices) == list(range(k))
+        assert float(np.linalg.norm(out.mean)) <= robust_error_bound(0.1, 1.0)
 
     def test_survivor_floor_on_split_clusters(self):
         # Half the points far left, half far right: no certificate exists,
