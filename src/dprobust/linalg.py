@@ -103,11 +103,11 @@ def max_eigenpair(m) -> tuple[float, np.ndarray]:
     Power iteration from a fixed pseudo-random unit vector accepts the
     iterate x once its Rayleigh quotient lam > 0 and
     ||M x - lam x|| <= 1e-7 * max(1, lam). A step costs about 2 d^2 flops,
-    so d steps cost about one np.linalg.eigh. The iteration hands off to
-    eigh (whose failures raise LinAlgError) as soon as the residual, shrunk
-    by its last step's ratio for every step left of those d, would still
-    miss the tolerance: a small spectral gap, or a negative-dominant
-    spectrum, settles no sooner than that.
+    so d steps cost about one np.linalg.eigh, which takes over (its
+    failures raise LinAlgError) when they do not settle. It takes over
+    sooner, as soon as the residual, shrunk by its last step's ratio for
+    each step left of those d, would still miss the tolerance: a small
+    spectral gap does not settle, and says so within a few steps.
     """
     return _power_eigenpair(as_sym_matrix(m))
 
@@ -142,10 +142,10 @@ def _power_eigenpair(mat: np.ndarray, start=None) -> tuple[float, np.ndarray]:
             except np.linalg.LinAlgError:
                 break
             return lam, x
-        # Once the start's transient has passed, the residual shrinks by a
-        # ratio that only grows, towards |lambda_2 / lambda_1|: at its last
-        # ratio, the steps left would end above tol. An early hand-off costs
-        # one eigh, never a wrong pair.
+        # Past the start's transient, the residual shrinks by a ratio that
+        # grows towards |lambda_2 / lambda_1|; at its last ratio, the steps
+        # left would end above tol. A growing residual is transient and
+        # predicts nothing. An early hand-off costs one eigh, not a wrong pair.
         if res < res_prev and res * (res / res_prev) ** left > tol:
             break
         res_prev = res
