@@ -7,13 +7,19 @@ Subcommands:
   calibrate  calibrate the certificate constant C and print it
 
 Exit codes: 0 success, 1 usage/config error, 2 runtime failure.
+
+estimate draws its noise seed from OS entropy unless --seed is given, and
+prints the seed only with --diagnostic: anyone who knows the seed can
+regenerate the noise and subtract it from the release.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
+import secrets
 import sys
 
 from .datagen import corrupt, load_dataset_csv, sample_gaussian, save_dataset_csv
@@ -72,7 +78,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--tau", type=float, default=0.05)
     p_est.add_argument("--c-thresh", type=float, default=1.0)
     p_est.add_argument("--epsilon", type=float, default=1.0)
-    p_est.add_argument("--seed", type=int, default=0)
+    p_est.add_argument(
+        "--seed",
+        type=int,
+        default=None,
+        help="noise seed for reproducible experiments (default: OS entropy)",
+    )
     p_est.add_argument("--alpha", type=float, default=0.05, help="winsorization trim level")
     p_est.add_argument("--range-bound", type=float, default=10.0, help="winsorization known range R")
     p_est.add_argument(
@@ -136,9 +147,9 @@ def _report_payload(args, report) -> dict:
         "noise_variance": report.noise_variance,
         "bound_used": report.bound_used,
         "sensitivity_used": report.sensitivity_used,
-        "seed": report.seed,
     }
     if args.diagnostic:
+        result["seed"] = report.seed
         result["robust_mean"] = [float(x) for x in report.robust_mean]
         if report.filter_diag is not None:
             diag = report.filter_diag
@@ -154,17 +165,27 @@ def _report_payload(args, report) -> dict:
 
 
 def _cmd_estimate(args) -> int:
-    data = load_dataset_csv(args.data)
     method = Method(args.method)
-    if method is Method.DP_ROBUST:
-        try:
+    # Every argument is checked before the data is read, so a bad one is a
+    # usage error (exit 1) whichever method it is given to.
+    try:
+        privacy = PrivacyParams(epsilon=args.epsilon, delta=args.tau)
+        if method is Method.DP_ROBUST:
             cfg = RobustConfig(gamma=args.gamma, tau=args.tau, c_thresh=args.c_thresh)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        report = dp_robust_mean(data, cfg, args.epsilon, args.seed, diagnostic=args.diagnostic)
+        elif method is Method.DP_WINSORIZED:
+            wcfg = WinsorizeConfig(alpha=args.alpha, range_bound=args.range_bound)
+        elif not (math.isfinite(args.c_thresh) and args.c_thresh > 0.0):
+            # dp_plain's gamma = 1/n is known only once the data is read.
+            raise ValueError("c_thresh must be positive and finite")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    seed = secrets.randbits(63) if args.seed is None else args.seed
+    data = load_dataset_csv(args.data)
+    if method is Method.DP_ROBUST:
+        report = dp_robust_mean(data, cfg, args.epsilon, seed, diagnostic=args.diagnostic)
         params = {"gamma": args.gamma, "tau": args.tau, "c_thresh": args.c_thresh, "epsilon": args.epsilon}
     elif method is Method.DP_PLAIN:
-        report = dp_mean(data, args.tau, args.c_thresh, args.epsilon, args.seed, diagnostic=args.diagnostic)
+        report = dp_mean(data, args.tau, args.c_thresh, args.epsilon, seed, diagnostic=args.diagnostic)
         params = {
             "gamma": 1.0 / data.shape[0],
             "tau": args.tau,
@@ -172,17 +193,7 @@ def _cmd_estimate(args) -> int:
             "epsilon": args.epsilon,
         }
     else:
-        try:
-            wcfg = WinsorizeConfig(alpha=args.alpha, range_bound=args.range_bound)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        report = dp_winsorized_mean(
-            data,
-            wcfg,
-            PrivacyParams(epsilon=args.epsilon, delta=args.tau),
-            args.seed,
-            diagnostic=args.diagnostic,
-        )
+        report = dp_winsorized_mean(data, wcfg, privacy, seed, diagnostic=args.diagnostic)
         params = {
             "alpha": args.alpha,
             "range_bound": args.range_bound,

@@ -6,6 +6,10 @@ C * gamma * ln(1/gamma)) or projects onto the top direction and removes the
 most extreme tail. A survivor floor of ceil((1 - 2 gamma) n) rows
 guarantees adversarial inputs cannot drive the estimator to an empty set.
 
+The tail rule is that of Diakonikolas et al. (arXiv 1703.00893) with the
+fixed constants TAIL_COEFFICIENT and TAIL_SLACK (see _tail_removal); it
+has no options.
+
 A round costs O(k d^2) for the k rows it removes plus one O(n d)
 projection: the loop keeps the sums of y = x - anchor and of y y^T over the
 survivors and subtracts each round's removed rows from them, the top
@@ -31,7 +35,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
@@ -40,12 +43,13 @@ import numpy as np
 from .linalg import (
     _power_eigenpair,
     as_dataset,
-    as_unit_vector,
-    as_vector,
     empirical_covariance,
     spectral_deviation_pair,
 )
 from .sensitivity import RobustConfig
+
+TAIL_COEFFICIENT = 8.0
+TAIL_SLACK = 8.0
 
 
 class SampleSizeWarning(UserWarning):
@@ -55,7 +59,6 @@ class SampleSizeWarning(UserWarning):
 class Termination(str, Enum):
     CERTIFICATE = "certificate"
     FALLBACK_EXHAUSTED = "fallback_exhausted"
-    MAX_ITERATIONS = "max_iterations"
 
 
 @dataclass(frozen=True)
@@ -85,77 +88,20 @@ def thresh(gamma: float, c_thresh: float) -> float:
     return c_thresh * gamma * math.log(1.0 / gamma)
 
 
-def _tail_slack(
-    t: np.ndarray,
-    gamma: float,
-    slack_coefficient: float,
-    tau_dependent: bool,
-    tau: float,
-    d: int,
-) -> np.ndarray:
-    if not tau_dependent:
-        return np.full_like(t, slack_coefficient * gamma)
-    # T-dependent alternative: slack_coefficient * gamma / (T^2 ln(d ln(d/(gamma tau)))).
-    inner = d * math.log(d / (gamma * tau))
-    denom_log = math.log(inner) if inner > 1.0 else float("inf")
-    # Near T = 0 the slack is unbounded; a tiny T overflows to inf, as T = 0 gives.
-    with np.errstate(divide="ignore", over="ignore"):
-        out = slack_coefficient * gamma / (np.square(t) * denom_log)
-    out[t <= 0.0] = float("inf")
-    return out
+def _tail_removal(proj: np.ndarray, gamma: float) -> np.ndarray:
+    """Indices into proj that the tail rule removes, ascending.
 
-
-def filter_step(
-    data,
-    mu,
-    v,
-    gamma: float,
-    *,
-    tail_coefficient: float = 8.0,
-    tail_slack_coefficient: float = 8.0,
-    tau_dependent: bool = False,
-    tau: float = 0.05,
-) -> list[int]:
-    """Indices to remove after projecting data onto the direction v.
-
-    Projections are p_i = |v . (x_i - mu)|. The removal threshold T is the
-    smallest projection value whose strict tail is heavier than a good
-    Gaussian sample allows, i.e. |{i : p_i > T}| / n exceeds
-    tail_coefficient * exp(-T^2 / 2) + slack, where slack is the flat
-    tail_slack_coefficient * gamma by default. All indices with p_i > T are
-    removed. When no projection value qualifies, the single index with the
-    largest projection is returned so the caller always makes progress;
+    The threshold T is the smallest projection whose strict tail is
+    heavier than a good Gaussian sample allows, |{i : p_i > T}| / n >
+    TAIL_COEFFICIENT * exp(-T^2 / 2) + TAIL_SLACK * gamma, and every index
+    with p_i > T is removed. When no projection qualifies, the single
+    largest projection is returned so the loop always makes progress;
     ties resolve to the lowest index.
     """
-    arr = as_dataset(data)
-    n, d = arr.shape
-    mu_vec = as_vector(mu, dim=d)
-    v_vec = as_unit_vector(v, d)
-    if not 0.0 <= gamma < 0.5:
-        raise ValueError("gamma must lie in [0, 0.5)")
-    proj = np.abs((arr - mu_vec) @ v_vec)
-    local = _tail_removal(
-        proj, gamma, d, tail_coefficient, tail_slack_coefficient, tau_dependent, tau
-    )
-    return [int(i) for i in local]
-
-
-def _tail_removal(
-    proj: np.ndarray,
-    gamma: float,
-    d: int,
-    tail_coefficient: float,
-    tail_slack_coefficient: float,
-    tau_dependent: bool,
-    tau: float,
-) -> np.ndarray:
-    """filter_step's rule on projections: ascending indices into proj."""
     n = proj.size
 
     def allowed(t):
-        return tail_coefficient * np.exp(-0.5 * np.square(t)) + _tail_slack(
-            t, gamma, tail_slack_coefficient, tau_dependent, tau, d
-        )
+        return TAIL_COEFFICIENT * np.exp(-0.5 * np.square(t)) + TAIL_SLACK * gamma
 
     # A strict tail holds at most n - 1 of n rows, so only a value with
     # allowed < 1 can be the threshold; allowed never increases with T, so
@@ -179,12 +125,12 @@ def filter_gaussian_unknown_mean(data, cfg: RobustConfig) -> FilterOutcome:
 
     Loop: mean, covariance, spectral deviation lambda* of (cov - I); stop
     with CERTIFICATE once lambda* <= thresh(gamma, C) on survivor moments
-    rebuilt two-pass, with MAX_ITERATIONS after n removal rounds, or with
-    FALLBACK_EXHAUSTED when the next removal would leave fewer than
-    max(2, ceil((1 - 2 gamma) n)) rows. A tail set that would breach that
-    floor is replaced by the single row of largest projection, and the
-    run ends only when removing that row, too, would breach it.
-    The mean of the surviving rows is returned in every case.
+    rebuilt two-pass, or with FALLBACK_EXHAUSTED when the next removal
+    would leave fewer than max(2, ceil((1 - 2 gamma) n)) rows. A tail set
+    that would breach that floor is replaced by the single row of largest
+    projection, and the run ends only when removing that row, too, would
+    breach it. Every round removes at least one row, so there are at most
+    n - 2 rounds. The mean of the surviving rows is returned in every case.
     """
     arr = as_dataset(data)
     n, d = arr.shape
@@ -236,21 +182,10 @@ def filter_gaussian_unknown_mean(data, cfg: RobustConfig) -> FilterOutcome:
             y, s1, s2, sigma = rebuild(alive)
             exact = True
             continue
-        if iterations >= n:
-            term = Termination.MAX_ITERATIONS
-            break
 
         shift = s1 / alive.size
         proj = np.abs((y @ direction)[alive] - shift @ direction)
-        local = _tail_removal(
-            proj,
-            cfg.gamma,
-            d,
-            cfg.tail_coefficient,
-            cfg.tail_slack_coefficient,
-            cfg.tau_dependent_tail,
-            cfg.tau,
-        )
+        local = _tail_removal(proj, cfg.gamma)
         if alive.size - local.size < floor and local.size > 1:
             # A few far outliers move the mean so that every clean row sits
             # in the tail: remove only the most extreme row.
@@ -284,19 +219,3 @@ def filter_gaussian_unknown_mean(data, cfg: RobustConfig) -> FilterOutcome:
     )
     return FilterOutcome(mean=surviving.mean(axis=0), surviving=surviving, diagnostics=diagnostics)
 
-
-def symmetric_difference_ratio(original, surviving) -> float:
-    """Multiset symmetric difference between row sets, divided by |original|.
-
-    Rows are compared exactly (bit-level), which is the right notion here:
-    surviving rows are copies of original rows, and any injected row will
-    differ. For a pure row-subset this reduces to the removed fraction.
-    """
-    orig = as_dataset(original)
-    surv = as_dataset(surviving)
-    if orig.shape[1] != surv.shape[1]:
-        raise ValueError("dimension mismatch between datasets")
-    counts: Counter[bytes] = Counter(row.tobytes() for row in orig)
-    counts.subtract(row.tobytes() for row in surv)
-    diff = sum(abs(c) for c in counts.values())
-    return diff / orig.shape[0]

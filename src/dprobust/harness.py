@@ -59,6 +59,7 @@ RECORD_COLUMNS = (
     "bound_used",
     "iterations",
     "removed_count",
+    "terminated_by",
     "runtime_ms",
 )
 
@@ -119,6 +120,7 @@ class TrialRecord:
     bound_used: float
     iterations: int
     removed_count: int
+    terminated_by: str
     runtime_ms: float
 
 
@@ -162,8 +164,10 @@ def run_sweep(config: ExperimentConfig) -> list[TrialRecord]:
 
     The true mean is the origin. Corrupted input is fed to dp_robust (and,
     with corrupt_all, to the other methods); dp_plain and dp_winsorized
-    otherwise see the clean sample. A failed trial is recorded as a marker
-    row (NaN errors, -1 counters) and the sweep continues.
+    otherwise see the clean sample. terminated_by is the filter's ending
+    for the filtered methods and blank for dp_winsorized. A failed trial is
+    recorded as a marker row (NaN errors, -1 counters, blank terminated_by)
+    and the sweep continues.
     """
     records: list[TrialRecord] = []
     for n in config.n_values:
@@ -228,6 +232,7 @@ def _run_trial(
             bound_used=float("nan"),
             iterations=-1,
             removed_count=-1,
+            terminated_by="",
             runtime_ms=elapsed_ms,
         )
     elapsed_ms = (time.perf_counter() - start) * 1000.0
@@ -248,6 +253,7 @@ def _run_trial(
         bound_used=report.bound_used,
         iterations=diag.iterations if diag is not None else 0,
         removed_count=len(diag.removed_indices) if diag is not None else 0,
+        terminated_by=diag.terminated_by.value if diag is not None else "",
         runtime_ms=elapsed_ms,
     )
 
@@ -360,9 +366,9 @@ def _format_value(value) -> str:
 def records_to_csv(records: list[TrialRecord], include_timings: bool = False) -> str:
     """Render records as CSV text.
 
-    Column order is fixed. runtime_ms is emitted blank by default so that
-    two runs of the same sweep produce byte-identical output; pass
-    include_timings=True to keep the measured wall times.
+    Column order is fixed and runtime_ms is last. It is emitted blank by
+    default so that two runs of the same sweep produce byte-identical
+    output; pass include_timings=True to keep the measured wall times.
     """
     lines = [",".join(RECORD_COLUMNS)]
     for rec in records:

@@ -17,49 +17,22 @@ class RobustConfig:
 
     gamma is the corruption fraction, tau the confidence / additive
     privacy term, c_thresh the constant C in the termination threshold
-    C * gamma * ln(1/gamma). The tail_* fields are the filter-step rule
-    constants; tau_dependent_tail switches the tail slack from the flat
-    8*gamma default to the T-dependent alternative (see filtering.filter_step).
+    C * gamma * ln(1/gamma). The tail rule has no parameters of its own
+    beyond gamma: its constants are filtering.TAIL_COEFFICIENT and
+    filtering.TAIL_SLACK.
     """
 
     gamma: float
     tau: float = 0.05
     c_thresh: float = 1.0
-    tail_coefficient: float = 8.0
-    tail_slack_coefficient: float = 8.0
-    tau_dependent_tail: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.gamma < 0.5:
             raise ValueError("gamma must lie in (0, 0.5)")
         if not 0.0 < self.tau < 1.0:
             raise ValueError("tau must lie in (0, 1)")
-        if self.c_thresh <= 0.0:
-            raise ValueError("c_thresh must be positive")
-        if self.tail_coefficient <= 0.0 or self.tail_slack_coefficient <= 0.0:
-            raise ValueError("tail rule coefficients must be positive")
-
-
-@dataclass(frozen=True)
-class SensitivityBound:
-    """A robust-error bound and the l2 global sensitivity it implies.
-
-    l2_sensitivity is exactly twice robust_error: two datasets differing
-    in one record both estimate within robust_error of the same truth, so
-    the estimates are within 2 * robust_error of each other.
-    """
-
-    kappa: float
-    robust_error: float
-    l2_sensitivity: float
-
-    def __post_init__(self):
-        for name in ("kappa", "robust_error", "l2_sensitivity"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"{name} must be positive and finite")
-        if self.l2_sensitivity != 2.0 * self.robust_error:
-            raise ValueError("l2_sensitivity must equal 2 * robust_error")
+        if not (math.isfinite(self.c_thresh) and self.c_thresh > 0.0):
+            raise ValueError("c_thresh must be positive and finite")
 
 
 def kappa(gamma: float) -> float:
@@ -107,9 +80,3 @@ def global_sensitivity(robust_error: float) -> float:
         raise ValueError("robust_error must be positive and finite")
     return 2.0 * robust_error
 
-
-def bound_for(cfg: RobustConfig) -> SensitivityBound:
-    """Bundle kappa, the robust-error bound and the l2 sensitivity for cfg."""
-    k = kappa(cfg.gamma)
-    err = robust_error_bound(cfg.gamma, cfg.c_thresh)
-    return SensitivityBound(kappa=k, robust_error=err, l2_sensitivity=2.0 * err)

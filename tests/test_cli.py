@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from dprobust import estimators
 from dprobust.cli import main
 from dprobust.datagen import load_dataset_csv
 from dprobust.harness import BASE_SEED_ENV_VAR
@@ -70,6 +71,7 @@ class TestEstimate:
         assert len(payload["result"]["private_mean"]) == 5
         assert payload["result"]["noise_variance"] > 0
         assert "robust_mean" not in payload["result"]
+        assert "seed" not in payload["result"]
 
     def test_diagnostic_mode(self, dataset, capsys):
         run(
@@ -83,8 +85,8 @@ class TestEstimate:
         assert payload["result"]["filter"]["terminated_by"] in (
             "certificate",
             "fallback_exhausted",
-            "max_iterations",
         )
+        assert payload["result"]["seed"] == 4
 
     def test_winsorized(self, dataset, capsys):
         run(
@@ -101,6 +103,13 @@ class TestEstimate:
         first = capsys.readouterr().out
         run(["estimate", "--data", str(dataset), "--method", "dp_plain", "--seed", "6"])
         assert capsys.readouterr().out == first
+
+    def test_default_seed_is_fresh(self, dataset, capsys):
+        means = []
+        for _ in range(2):
+            run(["estimate", "--data", str(dataset), "--method", "dp_plain"])
+            means.append(json.loads(capsys.readouterr().out)["result"]["private_mean"])
+        assert means[0] != means[1]
 
     def test_file_output(self, dataset, tmp_path):
         out = tmp_path / "result.jsonl"
@@ -164,6 +173,25 @@ class TestExitCodes:
         data = tmp_path / "d.csv"
         run(["synth", "--n", "10", "--d", "2", "--seed", "1", "--out", str(data)])
         assert run(["estimate", "--data", str(data), "--method", "dp_robust", "--gamma", "0.9"]) == 1
+
+    @pytest.mark.parametrize(
+        "method,flag,value",
+        [
+            (method, flag, value)
+            for method in ("dp_robust", "dp_plain", "dp_winsorized")
+            for flag, value in (("--epsilon", "0"), ("--epsilon", "nan"), ("--tau", "2"))
+        ]
+        + [(method, "--c-thresh", value) for method in ("dp_robust", "dp_plain") for value in ("0", "nan")],
+    )
+    def test_bad_privacy_argument_is_one(self, tmp_path, capsys, monkeypatch, method, flag, value):
+        data = tmp_path / "d.csv"
+        run(["synth", "--n", "10", "--d", "2", "--seed", "1", "--out", str(data)])
+
+        def no_filter(*args, **kwargs):
+            raise AssertionError("the filter ran before the arguments were checked")
+
+        monkeypatch.setattr(estimators, "filter_gaussian_unknown_mean", no_filter)
+        assert run(["estimate", "--data", str(data), "--method", method, flag, value]) == 1
 
     def test_runtime_failure_is_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dprobust.datagen import ConstantCluster
+from dprobust import harness
 from dprobust.estimators import Method
 from dprobust.harness import (
     ConfigError,
@@ -52,6 +53,7 @@ def make_record(method, n, d, trial, l2_error):
         bound_used=1.0,
         iterations=0,
         removed_count=0,
+        terminated_by="",
         runtime_ms=12.5,
     )
 
@@ -136,6 +138,36 @@ class TestRunSweep:
         by_method = {r.method: r for r in records}
         assert by_method["dp_robust"].gamma == 0.1
         assert by_method["dp_plain"].gamma == pytest.approx(1.0 / 160)
+
+    def test_terminated_by_column(self):
+        config = ExperimentConfig(
+            n_values=(2000,),
+            d_values=(10,),
+            trials=1,
+            base_seed=13,
+            methods=(Method.DP_ROBUST, Method.DP_PLAIN, Method.DP_WINSORIZED),
+            adversary=None,
+        )
+        records = run_sweep(config)
+        by_method = {r.method: r.terminated_by for r in records}
+        assert by_method == {
+            "dp_robust": "certificate",
+            "dp_plain": "fallback_exhausted",
+            "dp_winsorized": "",
+        }
+        header, *rows = records_to_csv(records).strip().split("\n")
+        assert header.split(",")[-2:] == ["terminated_by", "runtime_ms"]
+        assert [row.split(",")[-2] for row in rows] == ["certificate", "fallback_exhausted", ""]
+
+    def test_failed_trial_marker_row(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(harness, "dp_mean", fail)
+        with pytest.warns(UserWarning, match="trial failed"):
+            (rec,) = run_sweep(parse_config_text(BASIC_CONFIG))
+        assert (rec.iterations, rec.removed_count, rec.terminated_by) == (-1, -1, "")
+        assert math.isnan(rec.l2_error)
 
     def test_corrupt_all_flag_feeds_winsorized_corrupted_input(self):
         base = dict(
