@@ -4,12 +4,14 @@ Subcommands:
   synth      generate a (optionally corrupted) Gaussian dataset CSV
   estimate   run one estimator on a dataset CSV, emit a JSON line
   sweep      run a config-driven experiment sweep, emit a records CSV
+  aggregate  read a sweep's records CSV, emit per-(n, d) medians, IQRs,
+             means and the winsorized-minus-filtered excess error
   calibrate  calibrate the certificate constant C and print it
 
 Exit codes: 0 success, 1 usage/config error, 2 runtime failure.
 
-estimate draws its noise seed from OS entropy unless --seed is given, and
-prints the seed only with --diagnostic: anyone who knows the seed can
+estimate's noise seed comes from OS entropy unless --seed is given, and
+is printed only with --diagnostic: anyone who knows the seed can
 regenerate the noise and subtract it from the release.
 """
 
@@ -19,7 +21,6 @@ import argparse
 import json
 import math
 import os
-import secrets
 import sys
 
 from .datagen import corrupt, load_dataset_csv, sample_gaussian, save_dataset_csv
@@ -27,9 +28,12 @@ from .estimators import Method, WinsorizeConfig, dp_mean, dp_robust_mean, dp_win
 from .harness import (
     BASE_SEED_ENV_VAR,
     ConfigError,
+    aggregate_to_csv,
     calibrate_c,
+    excess_error_table,
     load_config,
     make_adversary,
+    read_records_csv,
     run_sweep,
     write_records_csv,
 )
@@ -102,6 +106,10 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="include wall-clock times (breaks byte-identical reruns)",
     )
+
+    p_agg = sub.add_parser("aggregate", help="aggregate a sweep's records CSV per (n, d)")
+    p_agg.add_argument("--records", required=True, help="records CSV written by sweep")
+    p_agg.add_argument("--out", required=True, help="output aggregate CSV path")
 
     p_cal = sub.add_parser("calibrate", help="calibrate the certificate constant C")
     p_cal.add_argument("--n", type=int, required=True)
@@ -179,13 +187,12 @@ def _cmd_estimate(args) -> int:
             raise ValueError("c_thresh must be positive and finite")
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    seed = secrets.randbits(63) if args.seed is None else args.seed
     data = load_dataset_csv(args.data)
     if method is Method.DP_ROBUST:
-        report = dp_robust_mean(data, cfg, args.epsilon, seed, diagnostic=args.diagnostic)
+        report = dp_robust_mean(data, cfg, args.epsilon, args.seed, diagnostic=args.diagnostic)
         params = {"gamma": args.gamma, "tau": args.tau, "c_thresh": args.c_thresh, "epsilon": args.epsilon}
     elif method is Method.DP_PLAIN:
-        report = dp_mean(data, args.tau, args.c_thresh, args.epsilon, seed, diagnostic=args.diagnostic)
+        report = dp_mean(data, args.tau, args.c_thresh, args.epsilon, args.seed, diagnostic=args.diagnostic)
         params = {
             "gamma": 1.0 / data.shape[0],
             "tau": args.tau,
@@ -193,7 +200,7 @@ def _cmd_estimate(args) -> int:
             "epsilon": args.epsilon,
         }
     else:
-        report = dp_winsorized_mean(data, wcfg, privacy, seed, diagnostic=args.diagnostic)
+        report = dp_winsorized_mean(data, wcfg, privacy, args.seed, diagnostic=args.diagnostic)
         params = {
             "alpha": args.alpha,
             "range_bound": args.range_bound,
@@ -218,6 +225,13 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+def _cmd_aggregate(args) -> int:
+    rows = excess_error_table(read_records_csv(args.records))
+    with open(args.out, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(aggregate_to_csv(rows))
+    return 0
+
+
 def _cmd_calibrate(args) -> int:
     c = calibrate_c(args.n, args.d, args.gamma, args.quantile, args.trials, args.seed)
     print(repr(c))
@@ -228,6 +242,7 @@ _COMMANDS = {
     "synth": _cmd_synth,
     "estimate": _cmd_estimate,
     "sweep": _cmd_sweep,
+    "aggregate": _cmd_aggregate,
     "calibrate": _cmd_calibrate,
 }
 

@@ -12,11 +12,15 @@ to that movement.
 
 Reports carry the pre-noise mean and filter diagnostics only when
 diagnostic=True; that output is not privatized and must not be released.
+Without a seed, each release draws its noise seed from OS entropy; pass a
+seed only for reproducible experiments, since whoever knows it can
+regenerate the noise. EstimateReport.seed holds the seed that was used.
 """
 
 from __future__ import annotations
 
 import math
+import secrets
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -66,11 +70,15 @@ class EstimateReport:
     method: Method
 
 
+def _release_seed(seed: int | None) -> int:
+    return secrets.randbits(63) if seed is None else int(seed)
+
+
 def dp_robust_mean(
     data,
     cfg: RobustConfig,
     epsilon: float,
-    seed: int,
+    seed: int | None = None,
     *,
     diagnostic: bool = False,
 ) -> EstimateReport:
@@ -81,6 +89,7 @@ def dp_robust_mean(
     error bound for (gamma, C). The variance depends on (gamma, tau, C,
     eps) only, never on the data dimension.
     """
+    seed = _release_seed(seed)
     outcome = filter_gaussian_unknown_mean(data, cfg)
     bound = robust_error_bound(cfg.gamma, cfg.c_thresh)
     sens = global_sensitivity(bound)
@@ -92,7 +101,7 @@ def dp_robust_mean(
         bound_used=bound,
         sensitivity_used=sens,
         filter_diag=outcome.diagnostics if diagnostic else None,
-        seed=int(seed),
+        seed=seed,
         method=Method.DP_ROBUST,
     )
 
@@ -102,7 +111,7 @@ def dp_mean(
     tau: float,
     c_thresh: float,
     epsilon: float,
-    seed: int,
+    seed: int | None = None,
     *,
     diagnostic: bool = False,
 ) -> EstimateReport:
@@ -116,6 +125,7 @@ def dp_mean(
     if n < 3:
         raise ValueError("dp_mean requires at least 3 rows")
     cfg = RobustConfig(gamma=1.0 / n, tau=tau, c_thresh=c_thresh)
+    seed = _release_seed(seed)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SampleSizeWarning)
         outcome = filter_gaussian_unknown_mean(arr, cfg)
@@ -129,7 +139,7 @@ def dp_mean(
         bound_used=bound,
         sensitivity_used=sens,
         filter_diag=outcome.diagnostics if diagnostic else None,
-        seed=int(seed),
+        seed=seed,
         method=Method.DP_PLAIN,
     )
 
@@ -150,7 +160,7 @@ def dp_winsorized_mean(
     data,
     wcfg: WinsorizeConfig,
     params: PrivacyParams,
-    seed: int,
+    seed: int | None = None,
     *,
     diagnostic: bool = False,
 ) -> EstimateReport:
@@ -164,6 +174,7 @@ def dp_winsorized_mean(
     """
     arr = as_dataset(data)
     n, d = arr.shape
+    seed = _release_seed(seed)
     mean = winsorized_mean(arr, wcfg)
     bound = wcfg.range_bound * math.sqrt(d) / n
     sens = 2.0 * bound
@@ -175,6 +186,6 @@ def dp_winsorized_mean(
         bound_used=bound,
         sensitivity_used=sens,
         filter_diag=None,
-        seed=int(seed),
+        seed=seed,
         method=Method.DP_WINSORIZED,
     )

@@ -15,7 +15,7 @@ import math
 import statistics
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -75,7 +75,7 @@ class ExperimentConfig:
     gamma: float = 0.1
     epsilon: float = 1.0
     tau: float = 0.05
-    c_thresh: float = 1.0
+    c_thresh: float | None = 1.0  # None: calibrate C once per (n, d) cell
     trials: int = 1
     base_seed: int = 0
     methods: tuple[Method, ...] = (Method.DP_ROBUST, Method.DP_PLAIN, Method.DP_WINSORIZED)
@@ -87,6 +87,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.n_values or not self.d_values:
             raise ConfigError("n_values and d_values must be nonempty")
+        if len(set(self.n_values)) < len(self.n_values) or len(set(self.d_values)) < len(self.d_values):
+            raise ConfigError("n_values and d_values must not repeat a value")
         if any(n < 3 for n in self.n_values):
             raise ConfigError("all n_values must be at least 3")
         if any(d < 1 for d in self.d_values):
@@ -95,12 +97,11 @@ class ExperimentConfig:
             raise ConfigError("trials must be at least 1")
         if not self.methods:
             raise ConfigError("methods must be nonempty")
-        if not 0.0 < self.gamma < 0.5:
-            raise ConfigError("gamma must lie in (0, 0.5)")
-        if not 0.0 < self.tau < 1.0:
-            raise ConfigError("tau must lie in (0, 1)")
-        if self.epsilon <= 0.0 or self.c_thresh <= 0.0:
-            raise ConfigError("epsilon and c_thresh must be positive")
+        try:
+            PrivacyParams(epsilon=self.epsilon, delta=self.tau)
+            RobustConfig(self.gamma, self.tau, 1.0 if self.c_thresh is None else self.c_thresh)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -167,11 +168,17 @@ def run_sweep(config: ExperimentConfig) -> list[TrialRecord]:
     otherwise see the clean sample. terminated_by is the filter's ending
     for the filtered methods and blank for dp_winsorized. A failed trial is
     recorded as a marker row (NaN errors, -1 counters, blank terminated_by)
-    and the sweep continues.
+    and the sweep continues. With c_thresh None, each (n, d) cell first
+    calibrates C on 30 clean samples seeded by base_seed, and its records
+    carry that C.
     """
     records: list[TrialRecord] = []
     for n in config.n_values:
         for d in config.d_values:
+            cell = config
+            if config.c_thresh is None:
+                c = calibrate_c(n, d, config.gamma, trials=30, seed=config.base_seed)
+                cell = replace(config, c_thresh=c)
             for trial in range(config.trials):
                 data_seed = derive_seed(config.base_seed, "data", n, d, trial)
                 clean = sample_gaussian(n, d, 0.0, seed=data_seed)
@@ -192,9 +199,7 @@ def run_sweep(config: ExperimentConfig) -> list[TrialRecord]:
                         method is Method.DP_ROBUST or config.corrupt_all
                     )
                     data = dirty if use_dirty else clean
-                    records.append(
-                        _run_trial(method, data, config, n, d, trial, seed)
-                    )
+                    records.append(_run_trial(method, data, cell, n, d, trial, seed))
     return records
 
 
@@ -273,12 +278,17 @@ def calibrate_c(
 
     The pass fraction is monotone in C, so a binary search over the
     (geometric) grid finds the smallest admissible value. If even the grid
-    maximum fails, that maximum is returned with a warning.
+    maximum fails, that maximum is returned with a warning. The arguments
+    are checked before any sample is drawn.
     """
+    if not 0.0 < gamma < 0.5:
+        raise ConfigError("gamma must lie in (0, 0.5)")
+    if n < 2 or d < 1:
+        raise ConfigError("n must be at least 2 and d at least 1")
     if not 0.5 < quantile < 1.0:
-        raise ValueError("quantile must lie in (0.5, 1)")
+        raise ConfigError("quantile must lie in (0.5, 1)")
     if trials < 1:
-        raise ValueError("trials must be at least 1")
+        raise ConfigError("trials must be at least 1")
     if grid is None:
         grid = np.logspace(-2, 4, 301)
     grid = np.sort(np.asarray(grid, dtype=float))
@@ -384,6 +394,21 @@ def write_records_csv(records: list[TrialRecord], path, include_timings: bool = 
         fh.write(records_to_csv(records, include_timings=include_timings))
 
 
+def read_records_csv(path) -> list[TrialRecord]:
+    """Read back a records CSV. Floats were written with repr, so they
+    round-trip exactly; a blank runtime_ms reads as NaN."""
+    with open(path, "r", encoding="ascii") as fh:
+        header, *lines = fh.read().splitlines()
+    if tuple(header.split(",")) != RECORD_COLUMNS:
+        raise ConfigError(f"{path} is not a records CSV: header {header!r}")
+    casts = {"int": int, "float": lambda v: float(v or "nan"), "str": str}
+    types = {f.name: casts[f.type] for f in fields(TrialRecord)}
+    return [
+        TrialRecord(**{col: types[col](v) for col, v in zip(RECORD_COLUMNS, line.split(","), strict=True)})
+        for line in lines
+    ]
+
+
 def aggregate_to_csv(rows: list[AggregateRow]) -> str:
     methods = [m.value for m in Method]
     header = ["n", "d"]
@@ -416,7 +441,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
     Keys match ExperimentConfig field names; the nested winsorize and
     adversary settings use the flattened keys winsorize_alpha,
     winsorize_range_bound, adversary and adversary_magnitude. Lists are
-    comma-separated. Lines starting with # are comments.
+    comma-separated. c_thresh = calibrate sets c_thresh None (calibrated
+    per cell by run_sweep). Lines starting with # are comments.
     """
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -440,7 +466,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
         for key in _INT_KEYS & raw.keys():
             kwargs[key] = int(raw[key])
         for key in {"gamma", "epsilon", "tau", "c_thresh"} & raw.keys():
-            kwargs[key] = float(raw[key])
+            calibrate = key == "c_thresh" and raw[key] == "calibrate"
+            kwargs[key] = None if calibrate else float(raw[key])
         for key in _BOOL_KEYS & raw.keys():
             value = raw[key].lower()
             if value not in ("true", "false"):

@@ -4,10 +4,17 @@ import json
 
 import pytest
 
-from dprobust import estimators
+from dprobust import estimators, harness
 from dprobust.cli import main
 from dprobust.datagen import load_dataset_csv
-from dprobust.harness import BASE_SEED_ENV_VAR
+from dprobust.harness import (
+    BASE_SEED_ENV_VAR,
+    aggregate_to_csv,
+    excess_error_table,
+    parse_config_text,
+    run_sweep,
+    write_records_csv,
+)
 
 SWEEP_CONFIG = """
 n_values = 100
@@ -144,6 +151,41 @@ class TestSweep:
         assert via_flag.read_bytes() == base.read_bytes()
 
 
+    @pytest.mark.parametrize("line", ["epsilon = nan", "epsilon = inf", "c_thresh = nan", "c_thresh = inf"])
+    def test_non_finite_value_exits_one_without_csv(self, tmp_path, capsys, line):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(SWEEP_CONFIG + line + "\n")
+        out = tmp_path / "records.csv"
+        assert run(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        assert not out.exists()
+
+
+class TestAggregate:
+    def test_matches_table_of_the_sweep_with_a_marker_row(self, tmp_path, monkeypatch):
+        real = harness.dp_winsorized_mean
+        calls = []
+
+        def fail_first(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 1:
+                raise ValueError("boom")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "dp_winsorized_mean", fail_first)
+        with pytest.warns(UserWarning, match="trial failed"):
+            records = run_sweep(parse_config_text(SWEEP_CONFIG))
+        assert records[1].method == "dp_winsorized" and records[1].iterations == -1
+        sweep_csv, out = tmp_path / "records.csv", tmp_path / "aggregate.csv"
+        write_records_csv(records, sweep_csv)
+        with pytest.warns(UserWarning, match="unpaired"):
+            assert run(["aggregate", "--records", str(sweep_csv), "--out", str(out)]) == 0
+            expected = aggregate_to_csv(excess_error_table(records))
+        assert out.read_text() == expected
+
+    def test_missing_records_is_one(self, tmp_path, capsys):
+        assert run(["aggregate", "--records", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "a.csv")]) == 1
+
+
 class TestCalibrate:
     def test_prints_constant(self, capsys):
         code = run(
@@ -192,6 +234,18 @@ class TestExitCodes:
 
         monkeypatch.setattr(estimators, "filter_gaussian_unknown_mean", no_filter)
         assert run(["estimate", "--data", str(data), "--method", method, flag, value]) == 1
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--gamma", "0"), ("--gamma", "0.6"), ("--quantile", "0.4"), ("--quantile", "1"), ("--trials", "0"), ("--n", "1")],
+    )
+    def test_bad_calibrate_argument_is_one(self, capsys, monkeypatch, flag, value):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("calibrate sampled before checking its arguments")
+
+        monkeypatch.setattr(harness, "sample_gaussian", no_sampling)
+        args = {"--n": "100", "--d": "2", "--gamma": "0.1", "--trials": "5"} | {flag: value}
+        assert run(["calibrate"] + [part for item in args.items() for part in item]) == 1
 
     def test_runtime_failure_is_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

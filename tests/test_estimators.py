@@ -196,3 +196,20 @@ class TestCrossMethod:
             robust_vars.append(r.noise_variance)
         assert ratios[1] == pytest.approx(4.0 * ratios[0], rel=1e-12)
         assert robust_vars[0] == robust_vars[1]
+
+
+@pytest.mark.parametrize(
+    "release",
+    [
+        lambda seed: dp_robust_mean(clean_data(), CFG, 1.0, seed),
+        lambda seed: dp_mean(clean_data(), 0.05, 1.0, 1.0, seed),
+        lambda seed: dp_winsorized_mean(clean_data(), WinsorizeConfig(), PrivacyParams(1.0, 0.05), seed),
+    ],
+    ids=["dp_robust", "dp_plain", "dp_winsorized"],
+)
+def test_unseeded_releases_differ_and_report_their_seed(release):
+    first, second = release(None), release(None)
+    assert first.seed != second.seed
+    assert not np.array_equal(first.private_mean, second.private_mean)
+    # The reported seed is the one the noise was drawn from.
+    assert np.array_equal(release(first.seed).private_mean, first.private_mean)

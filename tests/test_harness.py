@@ -18,8 +18,10 @@ from dprobust.harness import (
     excess_error_table,
     load_config,
     parse_config_text,
+    read_records_csv,
     records_to_csv,
     run_sweep,
+    write_records_csv,
 )
 from dprobust.privacy import PrivacyParams, noise_scale
 from dprobust.sensitivity import single_point_bound
@@ -169,6 +171,14 @@ class TestRunSweep:
         assert (rec.iterations, rec.removed_count, rec.terminated_by) == (-1, -1, "")
         assert math.isnan(rec.l2_error)
 
+    def test_calibrated_c_per_cell(self):
+        config = parse_config_text(BASIC_CONFIG.replace("d_values = 3", "d_values = 2,4") + "c_thresh = calibrate\n")
+        records = run_sweep(config)
+        assert len(records) == 2
+        for rec in records:
+            assert rec.c_thresh == calibrate_c(rec.n, rec.d, config.gamma, trials=30, seed=config.base_seed)
+        assert records[0].c_thresh != records[1].c_thresh
+
     def test_corrupt_all_flag_feeds_winsorized_corrupted_input(self):
         base = dict(
             n_values=(400,),
@@ -210,6 +220,19 @@ class TestCalibrateC:
     def test_quantile_domain(self):
         with pytest.raises(ValueError):
             calibrate_c(n=100, d=2, gamma=0.1, quantile=0.4, trials=5, seed=0)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [{"gamma": 0.6}, {"gamma": float("nan")}, {"n": 1}, {"d": 0}, {"quantile": 1.0}, {"trials": 0}],
+    )
+    def test_arguments_checked_before_sampling(self, monkeypatch, bad):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("calibrate_c sampled before checking its arguments")
+
+        monkeypatch.setattr(harness, "sample_gaussian", no_sampling)
+        kwargs = dict(n=100, d=2, gamma=0.1, quantile=0.95, trials=5, seed=0) | bad
+        with pytest.raises(ConfigError):
+            calibrate_c(**kwargs)
 
 
 class TestExcessErrorTable:
@@ -324,6 +347,23 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config_text("n_values = 10\nd_values = 2\ngamma = 0.9\n")
 
+    @pytest.mark.parametrize("key", ["epsilon", "c_thresh"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_value(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            parse_config_text(f"n_values = 10\nd_values = 2\n{key} = {value}\n")
+
+    @pytest.mark.parametrize("text", ["n_values = 120,120\nd_values = 3\n", "n_values = 120\nd_values = 3,3\n"])
+    def test_repeated_sweep_value(self, text):
+        with pytest.raises(ConfigError, match="repeat"):
+            parse_config_text(text)
+
+    def test_calibrate_value(self):
+        config = parse_config_text("n_values = 10\nd_values = 2\nc_thresh = calibrate\n")
+        assert config.c_thresh is None
+        with pytest.raises(ConfigError):
+            parse_config_text("n_values = 10\nd_values = 2\ngamma = calibrate\n")
+
 
 class TestLoadConfig:
     def test_seed_precedence(self, tmp_path):
@@ -355,3 +395,20 @@ class TestRecordsCsv:
         rec = make_record("dp_plain", 10, 2, 0, 1.0 / 3.0)
         row = records_to_csv([rec]).strip().split("\n")[1]
         assert repr(1.0 / 3.0) in row
+
+    def test_read_back(self, tmp_path):
+        rec = make_record("dp_plain", 10, 2, 0, 1.0 / 3.0)
+        marker = make_record("dp_robust", 10, 2, 0, float("nan"))
+        path = tmp_path / "records.csv"
+        write_records_csv([rec, marker], path, include_timings=True)
+        back, back_marker = read_records_csv(path)
+        assert back == rec
+        assert back_marker.method == "dp_robust" and math.isnan(back_marker.l2_error)
+        write_records_csv([rec], path)
+        assert math.isnan(read_records_csv(path)[0].runtime_ms)
+
+    def test_read_rejects_other_csv(self, tmp_path):
+        path = tmp_path / "other.csv"
+        path.write_text("n,d\n1,2\n")
+        with pytest.raises(ConfigError, match="not a records CSV"):
+            read_records_csv(path)
