@@ -123,10 +123,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_synth(args) -> int:
+    # Every argument is checked before sampling, so a bad one is a usage
+    # error (exit 1) and no file is written.
+    if args.n < 1 or args.d < 1:
+        raise ConfigError("n and d must be at least 1")
+    if not math.isfinite(args.mean):
+        raise ConfigError("mean must be finite")
+    if args.seed < 0:
+        raise ConfigError("seed must be non-negative")
+    if not 0.0 <= args.gamma < 0.5:
+        raise ConfigError("gamma must lie in [0, 0.5)")
+    adversary = make_adversary(args.adversary, args.magnitude)
     data = sample_gaussian(args.n, args.d, args.mean, seed=args.seed)
     plan = None
     if args.gamma > 0.0:
-        adversary = make_adversary(args.adversary, args.magnitude)
         data, plan = corrupt(
             data,
             args.gamma,

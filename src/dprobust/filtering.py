@@ -15,7 +15,15 @@ projection: the loop keeps the sums of y = x - anchor and of y y^T over the
 survivors and subtracts each round's removed rows from them, the top
 eigenpair of a removal round is warm-started from the previous round's
 direction, and only the projections that can be the tail threshold are
-sorted. Downdated sums drift by rounding, so a certificate is only
+sorted. A warm pair (lam, x) with residual at most tol is the top one when
+lam - 2 tol exceeds a bound on the second eigenvalue lambda_2 of sigma - I.
+The loop keeps lambda_2 and the survivor count m_j from the solver's last
+full spectral call, and on m_k survivors bounds lambda_2 by
+rho lambda_2 + rho - 1 with rho = m_j / m_k (the linalg module gives the
+argument), so a warm pair is kept without a factorization; lambda_2 is
+computed afresh only when that bound is too loose.
+
+Downdated sums drift by rounding, so a certificate is only
 accepted on moments rebuilt two-pass from the survivors, bit-identical to
 empirical_covariance, and solved from the cold start; the noise
 calibrated to the certificate bound rests on neither a downdate nor a
@@ -160,6 +168,14 @@ def filter_gaussian_unknown_mean(data, cfg: RobustConfig) -> FilterOutcome:
         sigma = empirical_covariance(subset, anchor)
         return arr - anchor, np.zeros(d), alive.size * sigma, sigma
 
+    # (lambda_2 of sigma - I, survivors) at the solver's last full spectral
+    # call; none has been made yet, so the first bound is infinite.
+    second = (math.inf, n)
+
+    def rebase(value):
+        nonlocal second
+        second = (value, alive.size)
+
     alive = np.arange(n)
     y, s1, s2, sigma = rebuild(alive)
     exact = True
@@ -171,7 +187,8 @@ def filter_gaussian_unknown_mean(data, cfg: RobustConfig) -> FilterOutcome:
             # a certificate rests on the same solve as without the warm start.
             deviation, direction = spectral_deviation_pair(sigma)
         else:
-            value, direction = _power_eigenpair(sigma_minus_identity, direction)
+            rho = second[1] / alive.size
+            value, direction = _power_eigenpair(sigma_minus_identity, direction, rho * second[0] + rho - 1.0, rebase)
             deviation = max(0.0, value)
 
         if deviation <= threshold:

@@ -468,6 +468,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
         for key in {"gamma", "epsilon", "tau", "c_thresh"} & raw.keys():
             calibrate = key == "c_thresh" and raw[key] == "calibrate"
             kwargs[key] = None if calibrate else float(raw[key])
+        magnitude = float(raw.get("adversary_magnitude", 10.0))
         for key in _BOOL_KEYS & raw.keys():
             value = raw[key].lower()
             if value not in ("true", "false"):
@@ -499,7 +500,6 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
     if "adversary" in raw or "adversary_magnitude" in raw:
         name = raw.get("adversary", "constant_cluster").strip().lower()
-        magnitude = float(raw.get("adversary_magnitude", 10.0))
         kwargs["adversary"] = make_adversary(name, magnitude)
 
     if "n_values" not in kwargs or "d_values" not in kwargs:
@@ -509,6 +509,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 def make_adversary(name: str, magnitude: float = 10.0) -> Adversary | None:
     """Adversary from its config-file name; 'none' disables corruption."""
+    if not math.isfinite(magnitude):
+        raise ConfigError(f"adversary magnitude must be finite, got {magnitude!r}")
     if name == "none":
         return None
     if name == "constant_cluster":

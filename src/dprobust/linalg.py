@@ -10,8 +10,21 @@ taking over once the residual's measured contraction shows that it cannot
 settle within d steps. The public functions validate their matrix; the
 filter loop, which solves a sequence of nearby matrices it builds itself
 from validated rows, calls _power_eigenpair directly and may start it
-from the previous direction. A pair settled from such a start is only
-returned once a Cholesky factorization shows no eigenvalue above it.
+from the previous direction.
+
+A pair settled from such a start may be a lower eigenpair, so it is only
+returned when an upper bound on the second-largest eigenvalue lambda_2
+shows that it is the top one. The filter carries that bound between
+rounds. For M = cov(S) - I over a survivor set S of m rows, S_k within
+S_j and rho = m_j / m_k,
+
+    lambda_2(M_k) <= rho * lambda_2(M_j) + rho - 1.
+
+Centring S_k at its own mean minimises its second moment, and the rows of
+S_j that S_k drops add positive semidefinite terms, so m_k cov(S_k) <=
+m_j cov(S_j), that is M_k <= rho M_j + (rho - 1) I; Weyl's monotonicity
+gives the eigenvalue bound. It depends only on the sets, so it holds
+across the loop's rebuilds.
 """
 
 from __future__ import annotations
@@ -112,9 +125,20 @@ def max_eigenpair(m) -> tuple[float, np.ndarray]:
     return _power_eigenpair(as_sym_matrix(m))
 
 
-def _power_eigenpair(mat: np.ndarray, start=None) -> tuple[float, np.ndarray]:
-    """max_eigenpair of a finite, exactly symmetric mat, which is not checked;
-    start, a unit vector, replaces the fixed start."""
+def _power_eigenpair(mat: np.ndarray, start=None, bound=math.inf, rebase=None) -> tuple[float, np.ndarray]:
+    """max_eigenpair of a finite, exactly symmetric mat, which is not checked.
+
+    start, a unit vector, replaces the fixed start. A pair (lam, x) settled
+    from it has ||M x - lam x|| <= tol, so some eigenvalue lies within tol
+    of lam; when lam - 2 tol exceeds bound, an upper bound on lambda_2 of
+    mat, that eigenvalue is lambda_1, and no eigenvalue lies above lam +
+    tol. The spare tol absorbs the rounding that separates the filter's
+    downdated mat from the exact moments the bound is argued for. When the
+    bound (by default none) is too loose, lambda_2 comes from
+    np.linalg.eigvalsh and the pair is tested once more; a pair that fails
+    goes to np.linalg.eigh. rebase, when given, receives lambda_2 (-inf
+    when d = 1) from each np.linalg.eigvalsh or np.linalg.eigh call made.
+    """
     d = mat.shape[0]
     if start is None:
         x = np.random.Generator(np.random.Philox(key=_START_KEY)).standard_normal(d)
@@ -131,17 +155,14 @@ def _power_eigenpair(mat: np.ndarray, start=None) -> tuple[float, np.ndarray]:
         if lam > 0.0 and res <= tol:
             if start is None:  # a component along every eigenvector
                 return lam, x
-            # A warm start can settle on a lower eigenvector (one it already
-            # is). No eigenvalue lies above lam + tol when (lam + tol) I - M
-            # is positive definite, which a Cholesky factorization (d^3 / 3
-            # flops) shows.
-            shifted = -mat
-            shifted.flat[:: d + 1] += lam + tol
-            try:
-                np.linalg.cholesky(shifted)
-            except np.linalg.LinAlgError:
-                break
-            return lam, x
+            # A warm start can settle on a lower eigenvector (one it already is).
+            if lam - 2.0 * tol <= bound:
+                bound = float(np.linalg.eigvalsh(mat)[:-1].max(initial=-math.inf))
+                if rebase is not None:
+                    rebase(bound)
+            if lam - 2.0 * tol > bound:
+                return lam, x
+            break
         # Past the start's transient, the residual shrinks by a ratio that
         # grows towards |lambda_2 / lambda_1|; at its last ratio, the steps
         # left would end above tol. A growing residual is transient and
@@ -154,6 +175,8 @@ def _power_eigenpair(mat: np.ndarray, start=None) -> tuple[float, np.ndarray]:
             break
         x = y / y_norm
     values, vectors = np.linalg.eigh(mat)
+    if rebase is not None:
+        rebase(float(values[:-1].max(initial=-math.inf)))
     return float(values[-1]), vectors[:, -1]
 
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from dprobust import estimators, harness
+from dprobust import cli, estimators, harness
 from dprobust.cli import main
 from dprobust.datagen import load_dataset_csv
 from dprobust.harness import (
@@ -151,7 +151,11 @@ class TestSweep:
         assert via_flag.read_bytes() == base.read_bytes()
 
 
-    @pytest.mark.parametrize("line", ["epsilon = nan", "epsilon = inf", "c_thresh = nan", "c_thresh = inf"])
+    @pytest.mark.parametrize(
+        "line",
+        ["epsilon = nan", "epsilon = inf", "c_thresh = nan", "c_thresh = inf",
+         "adversary_magnitude = nan", "adversary_magnitude = inf", "adversary_magnitude = big"],
+    )
     def test_non_finite_value_exits_one_without_csv(self, tmp_path, capsys, line):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(SWEEP_CONFIG + line + "\n")
@@ -246,6 +250,21 @@ class TestExitCodes:
         monkeypatch.setattr(harness, "sample_gaussian", no_sampling)
         args = {"--n": "100", "--d": "2", "--gamma": "0.1", "--trials": "5"} | {flag: value}
         assert run(["calibrate"] + [part for item in args.items() for part in item]) == 1
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--n", "0"), ("--d", "0"), ("--mean", "nan"), ("--seed", "-1"), ("--gamma", "nan"), ("--gamma", "-0.1"),
+         ("--gamma", "0.7"), ("--magnitude", "nan")],
+    )
+    def test_bad_synth_argument_is_one(self, tmp_path, capsys, monkeypatch, flag, value):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("synth sampled before checking its arguments")
+
+        monkeypatch.setattr(cli, "sample_gaussian", no_sampling)
+        out, plan = tmp_path / "d.csv", tmp_path / "plan.json"
+        args = {"--n": "10", "--d": "2", "--gamma": "0.1", "--out": str(out), "--plan-out": str(plan)} | {flag: value}
+        assert run(["synth"] + [part for item in args.items() for part in item]) == 1
+        assert not out.exists() and not plan.exists()
 
     def test_runtime_failure_is_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

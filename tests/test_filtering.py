@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from dprobust import filtering
 from dprobust.filtering import (
     SampleSizeWarning,
     Termination,
@@ -21,7 +23,7 @@ from dprobust.filtering import (
     thresh,
 )
 from dprobust.estimators import dp_robust_mean
-from dprobust.linalg import empirical_covariance, empirical_mean, spectral_deviation
+from dprobust.linalg import _power_eigenpair, empirical_covariance, empirical_mean, spectral_deviation
 from dprobust.sensitivity import RobustConfig, robust_error_bound
 from dprobust.datagen import ConstantCluster, DirectionalSpread, corrupt, sample_gaussian
 
@@ -227,6 +229,28 @@ class TestFilterStep:
         assert _tail_removal(proj, gamma).tolist() == full_sort_tail_rule(proj, gamma)
 
 
+class TestSecondEigenvalueBound:
+    """The bound the loop carries to certify warm eigenpairs: for nested
+    survivor sets S_k within S_j and rho = m_j / m_k, lambda_2 of
+    cov(S_k) - I is at most rho * lambda_2(cov(S_j) - I) + rho - 1."""
+
+    @given(st.data(), st.integers(min_value=2, max_value=5), st.integers(min_value=3, max_value=30))
+    @settings(max_examples=300, deadline=None)
+    def test_holds_over_nested_sets(self, data, d, n):
+        rows = data.draw(arrays(np.float64, (n, d), elements=st.floats(min_value=-10.0, max_value=10.0)))
+        order = data.draw(st.permutations(range(n)))
+        sizes = sorted(data.draw(st.sets(st.integers(min_value=2, max_value=n), min_size=2)), reverse=True)
+        seconds = []
+        for m in sizes:
+            subset = rows[list(order[:m])]
+            cov = empirical_covariance(subset, subset.mean(axis=0))
+            seconds.append(np.linalg.eigvalsh(cov - np.eye(d))[-2])
+        for j, m_j in enumerate(sizes):
+            for m_k, second in zip(sizes[j + 1 :], seconds[j + 1 :]):
+                rho = m_j / m_k
+                assert second <= rho * seconds[j] + rho - 1.0 + 1e-12
+
+
 class TestFilterLoop:
     @pytest.mark.parametrize("case", PARITY_CASES)
     def test_matches_exact_moment_oracle(self, case):
@@ -248,6 +272,42 @@ class TestFilterLoop:
             # covariance, bit for bit.
             sigma = empirical_covariance(out.surviving, out.mean)
             assert diag.final_spectral_deviation == spectral_deviation(sigma)
+
+    # Each case runs about 200 removal rounds. The limits are the measured
+    # eigvalsh + eigh calls of the whole run: the carried lambda_2 bound
+    # keeps warm pairs with no spectral call, so a per-round factorization
+    # or spectrum would break them.
+    SPECTRAL_CALLS = {"constant_cluster": 8, "unsettled_rounds": 106}
+
+    @pytest.mark.parametrize("case", SPECTRAL_CALLS)
+    def test_warm_pairs_need_no_factorization(self, case, monkeypatch):
+        make, cfg, _ending, _rounds = PARITY_CASES[case]
+        data = make()
+        calls = Counter()
+        for name in ("cholesky", "eigvalsh", "eigh"):
+            solver = getattr(np.linalg, name)
+            monkeypatch.setattr(
+                np.linalg, name, lambda *a, _name=name, _solver=solver, **k: calls.update([_name]) or _solver(*a, **k)
+            )
+        out = filter_gaussian_unknown_mean(data, cfg)
+        assert out.diagnostics.iterations >= 197
+        assert calls["cholesky"] == 0
+        assert calls["eigvalsh"] + calls["eigh"] <= self.SPECTRAL_CALLS[case]
+
+    @pytest.mark.parametrize("case", ["constant_cluster", "symmetric_two_axis"])
+    def test_carried_bound_holds_every_round(self, case, monkeypatch):
+        # Every bound the loop hands the solver is at least lambda_2 of the
+        # matrix it solves, up to the rounding of the downdated sums.
+        make, cfg, _ending, _rounds = PARITY_CASES[case]
+        slack = []
+
+        def solve(mat, start=None, bound=math.inf, rebase=None):
+            slack.append(bound - np.linalg.eigvalsh(mat)[-2])
+            return _power_eigenpair(mat, start, bound, rebase)
+
+        monkeypatch.setattr(filtering, "_power_eigenpair", solve)
+        filter_gaussian_unknown_mean(make(), cfg)
+        assert len(slack) > 100 and min(slack) >= -1e-9
 
     def test_repeated_single_point(self):
         data = np.tile(np.array([4.0, -2.0, 7.0]), (50, 1))

@@ -353,6 +353,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=key):
             parse_config_text(f"n_values = 10\nd_values = 2\n{key} = {value}\n")
 
+    @pytest.mark.parametrize("value", ["big", "nan", "inf", "-inf"])
+    def test_bad_adversary_magnitude(self, value):
+        with pytest.raises(ConfigError, match="magnitude|invalid value"):
+            parse_config_text(f"n_values = 10\nd_values = 2\nadversary_magnitude = {value}\n")
+
     @pytest.mark.parametrize("text", ["n_values = 120,120\nd_values = 3\n", "n_values = 120\nd_values = 3,3\n"])
     def test_repeated_sweep_value(self, text):
         with pytest.raises(ConfigError, match="repeat"):

@@ -280,6 +280,32 @@ class TestSpectralDeviation:
         assert value == pytest.approx(values[-1], abs=1e-8)
         assert residual(m, value, vector) <= 1e-7 * max(1.0, value)
 
+    @pytest.mark.parametrize("case", ["diagonal", "ones_not_top", "shifted_random"])
+    @pytest.mark.parametrize("slack", [0.0, 0.5])
+    def test_lower_eigenvector_start_with_valid_bound_gives_top_pair(self, case, slack):
+        # A valid lambda_2 bound cannot certify a pair settled on lambda_2
+        # itself: the solver computes lambda_2 afresh and hands off to eigh.
+        m = self.START_CASES[case]
+        values, vectors = np.linalg.eigh(m)
+        seen = []
+        value, vector = _power_eigenpair(m, vectors[:, -2], values[-2] + slack, seen.append)
+        assert value == pytest.approx(values[-1], abs=1e-8)
+        assert residual(m, value, vector) <= 1e-7 * max(1.0, value)
+        assert seen and all(second == pytest.approx(values[-2], abs=1e-12) for second in seen)
+
+    @pytest.mark.parametrize("case", START_CASES)
+    def test_top_start_under_bound_skips_spectral_calls(self, case, monkeypatch):
+        m = self.START_CASES[case]
+        values, vectors = np.linalg.eigh(m)
+        calls = []
+        for name in ("eigvalsh", "eigh"):
+            monkeypatch.setattr(np.linalg, name, lambda *a, _name=name, **k: calls.append(_name))
+        seen = []
+        value, vector = _power_eigenpair(m, vectors[:, -1], values[-2], seen.append)
+        assert calls == [] and seen == []
+        assert np.array_equal(vector, vectors[:, -1])
+        assert value == pytest.approx(values[-1], abs=1e-12)
+
     @pytest.mark.parametrize("start", [[2.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0], [float("nan"), 1.0]])
     def test_bad_start_rejected(self, start):
         with pytest.raises(ValueError):
