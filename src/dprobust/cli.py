@@ -20,13 +20,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from .datagen import corrupt, load_dataset_csv, sample_gaussian, save_dataset_csv
 from .estimators import Method, WinsorizeConfig, dp_mean, dp_robust_mean, dp_winsorized_mean
 from .harness import (
-    BASE_SEED_ENV_VAR,
     ConfigError,
     aggregate_to_csv,
     calibrate_c,
@@ -229,7 +227,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config = load_config(args.config, seed_override=args.seed, env_seed=os.environ.get(BASE_SEED_ENV_VAR))
+    config = load_config(args.config, seed_override=args.seed)
     records = run_sweep(config)
     write_records_csv(records, args.out, include_timings=args.timings)
     return 0

@@ -1,8 +1,8 @@
 """End-to-end differentially private mean estimators.
 
-Three release mechanisms share one shape: compute a mean whose worst-case
-movement under a one-row change is known, then add Gaussian noise scaled
-to that movement.
+Three estimators share one release, _release: each computes a mean whose
+worst-case movement under a one-row change is known, and _release adds
+Gaussian noise scaled to that movement and builds the report.
 
 - dp_robust_mean: filter at corruption level gamma, noise scaled to the
   dimension-free certificate bound.
@@ -70,8 +70,31 @@ class EstimateReport:
     method: Method
 
 
-def _release_seed(seed: int | None) -> int:
-    return secrets.randbits(63) if seed is None else int(seed)
+def _release(
+    method: Method,
+    mean: np.ndarray,
+    bound: float,
+    privacy: PrivacyParams,
+    seed: int | None,
+    diagnostic: bool,
+    diag: FilterDiagnostics | None = None,
+) -> EstimateReport:
+    """Gaussian mechanism on a mean that one changed row moves by at most
+    bound: per-coordinate noise calibrated to l2 sensitivity 2 * bound,
+    driven by seed, or by a seed from OS entropy when seed is None."""
+    seed = secrets.randbits(63) if seed is None else int(seed)
+    sens = global_sensitivity(bound)
+    spec = noise_scale(sens, privacy, seed=seed)
+    return EstimateReport(
+        private_mean=add_gaussian_noise(mean, spec),
+        robust_mean=mean.copy() if diagnostic else None,
+        noise_variance=spec.variance,
+        bound_used=bound,
+        sensitivity_used=sens,
+        filter_diag=diag if diagnostic else None,
+        seed=seed,
+        method=method,
+    )
 
 
 def dp_robust_mean(
@@ -89,21 +112,10 @@ def dp_robust_mean(
     error bound for (gamma, C). The variance depends on (gamma, tau, C,
     eps) only, never on the data dimension.
     """
-    seed = _release_seed(seed)
+    privacy = PrivacyParams(epsilon=epsilon, delta=cfg.tau)
     outcome = filter_gaussian_unknown_mean(data, cfg)
     bound = robust_error_bound(cfg.gamma, cfg.c_thresh)
-    sens = global_sensitivity(bound)
-    spec = noise_scale(sens, PrivacyParams(epsilon=epsilon, delta=cfg.tau), seed=seed)
-    return EstimateReport(
-        private_mean=add_gaussian_noise(outcome.mean, spec),
-        robust_mean=outcome.mean.copy() if diagnostic else None,
-        noise_variance=spec.variance,
-        bound_used=bound,
-        sensitivity_used=sens,
-        filter_diag=outcome.diagnostics if diagnostic else None,
-        seed=seed,
-        method=Method.DP_ROBUST,
-    )
+    return _release(Method.DP_ROBUST, outcome.mean, bound, privacy, seed, diagnostic, outcome.diagnostics)
 
 
 def dp_mean(
@@ -125,23 +137,12 @@ def dp_mean(
     if n < 3:
         raise ValueError("dp_mean requires at least 3 rows")
     cfg = RobustConfig(gamma=1.0 / n, tau=tau, c_thresh=c_thresh)
-    seed = _release_seed(seed)
+    privacy = PrivacyParams(epsilon=epsilon, delta=tau)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SampleSizeWarning)
         outcome = filter_gaussian_unknown_mean(arr, cfg)
     bound = single_point_bound(n, c_thresh)
-    sens = global_sensitivity(bound)
-    spec = noise_scale(sens, PrivacyParams(epsilon=epsilon, delta=tau), seed=seed)
-    return EstimateReport(
-        private_mean=add_gaussian_noise(outcome.mean, spec),
-        robust_mean=outcome.mean.copy() if diagnostic else None,
-        noise_variance=spec.variance,
-        bound_used=bound,
-        sensitivity_used=sens,
-        filter_diag=outcome.diagnostics if diagnostic else None,
-        seed=seed,
-        method=Method.DP_PLAIN,
-    )
+    return _release(Method.DP_PLAIN, outcome.mean, bound, privacy, seed, diagnostic, outcome.diagnostics)
 
 
 def winsorized_mean(data, wcfg: WinsorizeConfig) -> np.ndarray:
@@ -174,18 +175,5 @@ def dp_winsorized_mean(
     """
     arr = as_dataset(data)
     n, d = arr.shape
-    seed = _release_seed(seed)
-    mean = winsorized_mean(arr, wcfg)
     bound = wcfg.range_bound * math.sqrt(d) / n
-    sens = 2.0 * bound
-    spec = noise_scale(sens, params, seed=seed)
-    return EstimateReport(
-        private_mean=add_gaussian_noise(mean, spec),
-        robust_mean=mean.copy() if diagnostic else None,
-        noise_variance=spec.variance,
-        bound_used=bound,
-        sensitivity_used=sens,
-        filter_diag=None,
-        seed=seed,
-        method=Method.DP_WINSORIZED,
-    )
+    return _release(Method.DP_WINSORIZED, winsorized_mean(arr, wcfg), bound, params, seed, diagnostic)

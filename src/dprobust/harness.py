@@ -41,29 +41,6 @@ from .linalg import empirical_covariance, empirical_mean, spectral_deviation
 from .privacy import PrivacyParams
 from .sensitivity import RobustConfig
 
-BASE_SEED_ENV_VAR = "DPROBUST_BASE_SEED"
-
-RECORD_COLUMNS = (
-    "method",
-    "n",
-    "d",
-    "gamma",
-    "epsilon",
-    "tau",
-    "c_thresh",
-    "trial",
-    "seed",
-    "l2_error",
-    "robust_l2_error",
-    "noise_sigma",
-    "bound_used",
-    "iterations",
-    "removed_count",
-    "terminated_by",
-    "runtime_ms",
-)
-
-
 class ConfigError(ValueError):
     """Invalid experiment configuration (usage error, not a runtime failure)."""
 
@@ -87,8 +64,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.n_values or not self.d_values:
             raise ConfigError("n_values and d_values must be nonempty")
-        if len(set(self.n_values)) < len(self.n_values) or len(set(self.d_values)) < len(self.d_values):
-            raise ConfigError("n_values and d_values must not repeat a value")
+        if any(len(set(v)) < len(v) for v in (self.n_values, self.d_values, self.methods)):
+            raise ConfigError("n_values, d_values and methods must not repeat a value")
         if any(n < 3 for n in self.n_values):
             raise ConfigError("all n_values must be at least 3")
         if any(d < 1 for d in self.d_values):
@@ -123,6 +100,9 @@ class TrialRecord:
     removed_count: int
     terminated_by: str
     runtime_ms: float
+
+
+RECORD_COLUMNS = tuple(f.name for f in fields(TrialRecord))
 
 
 @dataclass(frozen=True)
@@ -220,28 +200,25 @@ def _run_trial(
             report = _run_method(method, data, config, seed)
     except Exception as exc:  # noqa: BLE001 - marker row keeps the sweep alive
         warnings.warn(f"trial failed ({method.value}, n={n}, d={d}, trial={trial}): {exc}")
-        elapsed_ms = (time.perf_counter() - start) * 1000.0
-        return TrialRecord(
-            method=method.value,
-            n=n,
-            d=d,
-            gamma=gamma,
-            epsilon=config.epsilon,
-            tau=config.tau,
-            c_thresh=config.c_thresh,
-            trial=trial,
-            seed=seed,
-            l2_error=float("nan"),
-            robust_l2_error=float("nan"),
-            noise_sigma=float("nan"),
-            bound_used=float("nan"),
-            iterations=-1,
-            removed_count=-1,
-            terminated_by="",
-            runtime_ms=elapsed_ms,
-        )
+        report = None
     elapsed_ms = (time.perf_counter() - start) * 1000.0
-    diag = report.filter_diag
+    if report is None:
+        nan = float("nan")
+        outcome = dict(
+            l2_error=nan, robust_l2_error=nan, noise_sigma=nan, bound_used=nan,
+            iterations=-1, removed_count=-1, terminated_by="",
+        )
+    else:
+        diag = report.filter_diag
+        outcome = dict(
+            l2_error=float(np.linalg.norm(report.private_mean)),
+            robust_l2_error=float(np.linalg.norm(report.robust_mean)),
+            noise_sigma=math.sqrt(report.noise_variance),
+            bound_used=report.bound_used,
+            iterations=diag.iterations if diag is not None else 0,
+            removed_count=len(diag.removed_indices) if diag is not None else 0,
+            terminated_by=diag.terminated_by.value if diag is not None else "",
+        )
     return TrialRecord(
         method=method.value,
         n=n,
@@ -252,14 +229,8 @@ def _run_trial(
         c_thresh=config.c_thresh,
         trial=trial,
         seed=seed,
-        l2_error=float(np.linalg.norm(report.private_mean)),
-        robust_l2_error=float(np.linalg.norm(report.robust_mean)),
-        noise_sigma=math.sqrt(report.noise_variance),
-        bound_used=report.bound_used,
-        iterations=diag.iterations if diag is not None else 0,
-        removed_count=len(diag.removed_indices) if diag is not None else 0,
-        terminated_by=diag.terminated_by.value if diag is not None else "",
         runtime_ms=elapsed_ms,
+        **outcome,
     )
 
 
@@ -396,17 +367,23 @@ def write_records_csv(records: list[TrialRecord], path, include_timings: bool = 
 
 def read_records_csv(path) -> list[TrialRecord]:
     """Read back a records CSV. Floats were written with repr, so they
-    round-trip exactly; a blank runtime_ms reads as NaN."""
+    round-trip exactly; a blank runtime_ms reads as NaN. A file that is not
+    a records CSV raises ConfigError naming the file and line."""
     with open(path, "r", encoding="ascii") as fh:
-        header, *lines = fh.read().splitlines()
+        lines = fh.read().splitlines()
+    header = lines[0] if lines else ""
     if tuple(header.split(",")) != RECORD_COLUMNS:
-        raise ConfigError(f"{path} is not a records CSV: header {header!r}")
+        raise ConfigError(f"{path}, line 1: not a records CSV: header {header!r}")
     casts = {"int": int, "float": lambda v: float(v or "nan"), "str": str}
     types = {f.name: casts[f.type] for f in fields(TrialRecord)}
-    return [
-        TrialRecord(**{col: types[col](v) for col, v in zip(RECORD_COLUMNS, line.split(","), strict=True)})
-        for line in lines
-    ]
+    records = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        try:
+            values = zip(RECORD_COLUMNS, line.split(","), strict=True)
+            records.append(TrialRecord(**{col: types[col](v) for col, v in values}))
+        except ValueError as exc:
+            raise ConfigError(f"{path}, line {lineno}: {exc}") from exc
+    return records
 
 
 def aggregate_to_csv(rows: list[AggregateRow]) -> str:
@@ -522,19 +499,11 @@ def make_adversary(name: str, magnitude: float = 10.0) -> Adversary | None:
     raise ConfigError(f"unknown adversary {name!r}; expected one of {ADVERSARY_NAMES} or 'none'")
 
 
-def load_config(path, seed_override: int | None = None, env_seed: str | None = None) -> ExperimentConfig:
-    """Read a sweep config file, applying base-seed overrides.
-
-    Precedence: --seed flag (seed_override), then the environment variable,
-    then the config file value.
-    """
+def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
+    """Read a sweep config file; seed_override (the --seed flag), when
+    given, replaces the file's base_seed."""
     with open(path, "r", encoding="utf-8") as fh:
         config = parse_config_text(fh.read())
     if seed_override is not None:
         return replace(config, base_seed=int(seed_override))
-    if env_seed is not None and env_seed != "":
-        try:
-            return replace(config, base_seed=int(env_seed))
-        except ValueError as exc:
-            raise ConfigError(f"invalid {BASE_SEED_ENV_VAR} value {env_seed!r}") from exc
     return config

@@ -67,14 +67,6 @@ def as_vector(v, dim: int | None = None) -> np.ndarray:
     return arr
 
 
-def as_unit_vector(v, dim: int) -> np.ndarray:
-    """Validate and return v as a (dim,) vector of unit length (within 1e-9)."""
-    arr = as_vector(v, dim=dim)
-    if abs(np.linalg.norm(arr) - 1.0) > 1e-9:
-        raise ValueError("direction must be a unit vector")
-    return arr
-
-
 def as_sym_matrix(m, atol: float = SYMMETRY_ATOL) -> np.ndarray:
     """Validate m as a finite symmetric square matrix (within atol)."""
     arr = np.asarray(m, dtype=float)
@@ -128,7 +120,8 @@ def max_eigenpair(m) -> tuple[float, np.ndarray]:
 def _power_eigenpair(mat: np.ndarray, start=None, bound=math.inf, rebase=None) -> tuple[float, np.ndarray]:
     """max_eigenpair of a finite, exactly symmetric mat, which is not checked.
 
-    start, a unit vector, replaces the fixed start. A pair (lam, x) settled
+    start, a unit vector such as the one returned for a nearby mat, replaces
+    the fixed start and, like mat, is not checked. A pair (lam, x) settled
     from it has ||M x - lam x|| <= tol, so some eigenvalue lies within tol
     of lam; when lam - 2 tol exceeds bound, an upper bound on lambda_2 of
     mat, that eigenvalue is lambda_1, and no eigenvalue lies above lam +
@@ -144,7 +137,7 @@ def _power_eigenpair(mat: np.ndarray, start=None, bound=math.inf, rebase=None) -
         x = np.random.Generator(np.random.Philox(key=_START_KEY)).standard_normal(d)
         x /= math.sqrt(x @ x)
     else:
-        x = as_unit_vector(start, d)
+        x = start
     res_prev = math.inf
     for left in range(d - 1, -1, -1):
         y = mat @ x

@@ -8,7 +8,6 @@ from dprobust import cli, estimators, harness
 from dprobust.cli import main
 from dprobust.datagen import load_dataset_csv
 from dprobust.harness import (
-    BASE_SEED_ENV_VAR,
     aggregate_to_csv,
     excess_error_table,
     parse_config_text,
@@ -137,18 +136,17 @@ class TestSweep:
         lines = out1.read_text().strip().split("\n")
         assert len(lines) == 1 + 2 * 2  # header + trials x methods
 
-    def test_seed_flag_beats_env(self, tmp_path, monkeypatch):
+    def test_seed_flag_beats_config(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(SWEEP_CONFIG)
         base = tmp_path / "base.csv"
-        via_env = tmp_path / "env.csv"
-        via_flag = tmp_path / "flag.csv"
+        same_seed = tmp_path / "same.csv"
+        other_seed = tmp_path / "other.csv"
         run(["sweep", "--config", str(cfg), "--out", str(base)])
-        monkeypatch.setenv(BASE_SEED_ENV_VAR, "1234")
-        run(["sweep", "--config", str(cfg), "--out", str(via_env)])
-        run(["sweep", "--config", str(cfg), "--seed", "21", "--out", str(via_flag)])
-        assert via_env.read_bytes() != base.read_bytes()
-        assert via_flag.read_bytes() == base.read_bytes()
+        run(["sweep", "--config", str(cfg), "--seed", "21", "--out", str(same_seed)])
+        run(["sweep", "--config", str(cfg), "--seed", "1234", "--out", str(other_seed)])
+        assert same_seed.read_bytes() == base.read_bytes()
+        assert other_seed.read_bytes() != base.read_bytes()
 
 
     @pytest.mark.parametrize(

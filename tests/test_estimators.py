@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dprobust import estimators
 from dprobust.datagen import sample_gaussian
 from dprobust.estimators import (
     Method,
@@ -213,3 +214,20 @@ def test_unseeded_releases_differ_and_report_their_seed(release):
     assert not np.array_equal(first.private_mean, second.private_mean)
     # The reported seed is the one the noise was drawn from.
     assert np.array_equal(release(first.seed).private_mean, first.private_mean)
+
+
+@pytest.mark.parametrize(
+    "release",
+    [
+        lambda: dp_robust_mean(clean_data(), CFG, float("nan"), 0),
+        lambda: dp_mean(clean_data(), 0.05, 1.0, float("nan"), 0),
+    ],
+    ids=["dp_robust", "dp_plain"],
+)
+def test_epsilon_checked_before_filtering(monkeypatch, release):
+    def fail(*args, **kwargs):
+        raise AssertionError("the filter ran before epsilon was checked")
+
+    monkeypatch.setattr(estimators, "filter_gaussian_unknown_mean", fail)
+    with pytest.raises(ValueError, match="epsilon"):
+        release()

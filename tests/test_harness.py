@@ -168,8 +168,13 @@ class TestRunSweep:
         monkeypatch.setattr(harness, "dp_mean", fail)
         with pytest.warns(UserWarning, match="trial failed"):
             (rec,) = run_sweep(parse_config_text(BASIC_CONFIG))
+        assert all(math.isnan(v) for v in (rec.l2_error, rec.robust_l2_error, rec.noise_sigma, rec.bound_used))
         assert (rec.iterations, rec.removed_count, rec.terminated_by) == (-1, -1, "")
-        assert math.isnan(rec.l2_error)
+        assert (rec.method, rec.n, rec.d, rec.trial) == ("dp_plain", 120, 3, 0)
+        assert (rec.epsilon, rec.tau, rec.c_thresh) == (1.0, 0.05, 1.0)
+        assert rec.gamma == 1.0 / 120
+        assert rec.seed == derive_seed(7, "method", 120, 3, 0, "dp_plain")
+        assert rec.runtime_ms >= 0.0
 
     def test_calibrated_c_per_cell(self):
         config = parse_config_text(BASIC_CONFIG.replace("d_values = 3", "d_values = 2,4") + "c_thresh = calibrate\n")
@@ -358,7 +363,14 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="magnitude|invalid value"):
             parse_config_text(f"n_values = 10\nd_values = 2\nadversary_magnitude = {value}\n")
 
-    @pytest.mark.parametrize("text", ["n_values = 120,120\nd_values = 3\n", "n_values = 120\nd_values = 3,3\n"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "n_values = 120,120\nd_values = 3\n",
+            "n_values = 120\nd_values = 3,3\n",
+            "n_values = 120\nd_values = 3\nmethods = dp_robust,dp_robust\n",
+        ],
+    )
     def test_repeated_sweep_value(self, text):
         with pytest.raises(ConfigError, match="repeat"):
             parse_config_text(text)
@@ -375,17 +387,17 @@ class TestLoadConfig:
         path = tmp_path / "sweep.cfg"
         path.write_text(BASIC_CONFIG)
         assert load_config(path).base_seed == 7
-        assert load_config(path, env_seed="55").base_seed == 55
-        assert load_config(path, seed_override=99, env_seed="55").base_seed == 99
-
-    def test_bad_env_seed(self, tmp_path):
-        path = tmp_path / "sweep.cfg"
-        path.write_text(BASIC_CONFIG)
-        with pytest.raises(ConfigError):
-            load_config(path, env_seed="not-an-int")
+        assert load_config(path, seed_override=99).base_seed == 99
 
 
 class TestRecordsCsv:
+    def test_header_is_fixed(self):
+        header = records_to_csv([]).rstrip("\n")
+        assert header == (
+            "method,n,d,gamma,epsilon,tau,c_thresh,trial,seed,l2_error,robust_l2_error,"
+            "noise_sigma,bound_used,iterations,removed_count,terminated_by,runtime_ms"
+        )
+
     def test_runtime_blank_by_default(self):
         csv = records_to_csv([make_record("dp_plain", 10, 2, 0, 1.5)])
         header, row = csv.strip().split("\n")
@@ -416,4 +428,20 @@ class TestRecordsCsv:
         path = tmp_path / "other.csv"
         path.write_text("n,d\n1,2\n")
         with pytest.raises(ConfigError, match="not a records CSV"):
+            read_records_csv(path)
+
+    @pytest.mark.parametrize(
+        "body, line",
+        [
+            ("", 1),
+            ("dp_plain,10,2\n", 2),
+            ("dp_plain,ten,2,0.1,1.0,0.05,1.0,0,0,1.5,0.0,1.0,1.0,0,0,,\n", 2),
+        ],
+        ids=["empty", "short_row", "non_integer_n"],
+    )
+    def test_read_rejects_malformed_records(self, tmp_path, body, line):
+        path = tmp_path / "records.csv"
+        header = records_to_csv([]) if body else ""
+        path.write_text(header + body)
+        with pytest.raises(ConfigError, match=f"records.csv, line {line}: "):
             read_records_csv(path)
