@@ -3,22 +3,26 @@
 Each round measures how far the survivor covariance sticks out above the
 identity, and either stops (certificate of robustness: the excess is below
 C * gamma * ln(1/gamma)) or projects onto the top direction and removes the
-most extreme tail. A survivor floor of ceil((1 - 2 gamma) n) rows
-guarantees adversarial inputs cannot drive the estimator to an empty set.
+one survivor of largest |projection|, the lowest index on a tie. A survivor
+floor of ceil((1 - 2 gamma) n) rows guarantees adversarial inputs cannot
+drive the estimator to an empty set.
 
-The tail rule is that of Diakonikolas et al. (arXiv 1703.00893) with the
-fixed constants TAIL_COEFFICIENT and TAIL_SLACK (see _tail_removal); it
-has no options.
+One row per round is the tail rule of Diakonikolas et al. (arXiv
+1703.00893) under that floor. With m survivors the rule's tail set, when it
+has one, holds more than its allowed mass 8 exp(-T^2 / 2) + 8 gamma, so more
+than 8 gamma m rows, while keeping it needs m - |tail| >= (1 - 2 gamma) n >=
+(1 - 2 gamma) m, so at most 2 gamma m rows. No gamma > 0 meets both, so the
+floor always cut the set to its largest projection, and a one-row tail set
+is that row; the rule has no options and no constants.
 
-A round costs O(k d^2) for the k rows it removes plus one O(n d)
-projection: the loop keeps the sums of y = x - anchor and of y y^T over the
-survivors and subtracts each round's removed rows from them, the top
-eigenpair of a removal round is warm-started from the previous round's
-direction, and only the projections that can be the tail threshold are
-sorted. A warm pair (lam, x) with residual at most tol is the top one when
-lam - 2 tol exceeds a bound on the second eigenvalue lambda_2 of sigma - I.
-The loop keeps lambda_2 and the survivor count m_j from the solver's last
-full spectral call, and on m_k survivors bounds lambda_2 by
+A round costs O(d^2) for the removed row plus one O(n d) projection: the
+loop keeps the sums of y = x - anchor and of y y^T over the survivors and
+subtracts each removed row from them, marks it in a mask over all n rows,
+and warm-starts the top eigenpair of a removal round from the previous
+round's direction. A warm pair (lam, x) with residual at most tol is the
+top one when lam - 2 tol exceeds a bound on the second eigenvalue lambda_2
+of sigma - I. The loop keeps lambda_2 and the survivor count m_j from the
+solver's last full spectral call, and on m_k survivors bounds lambda_2 by
 rho lambda_2 + rho - 1 with rho = m_j / m_k (the linalg module gives the
 argument), so a warm pair is kept without a factorization; lambda_2 is
 computed afresh only when that bound is too loose.
@@ -56,10 +60,6 @@ from .linalg import (
 )
 from .sensitivity import RobustConfig
 
-TAIL_COEFFICIENT = 8.0
-TAIL_SLACK = 8.0
-
-
 class SampleSizeWarning(UserWarning):
     """Raised when n falls below the d / gamma^2 guideline for the filter."""
 
@@ -96,49 +96,16 @@ def thresh(gamma: float, c_thresh: float) -> float:
     return c_thresh * gamma * math.log(1.0 / gamma)
 
 
-def _tail_removal(proj: np.ndarray, gamma: float) -> np.ndarray:
-    """Indices into proj that the tail rule removes, ascending.
-
-    The threshold T is the smallest projection whose strict tail is
-    heavier than a good Gaussian sample allows, |{i : p_i > T}| / n >
-    TAIL_COEFFICIENT * exp(-T^2 / 2) + TAIL_SLACK * gamma, and every index
-    with p_i > T is removed. When no projection qualifies, the single
-    largest projection is returned so the loop always makes progress;
-    ties resolve to the lowest index.
-    """
-    n = proj.size
-
-    def allowed(t):
-        return TAIL_COEFFICIENT * np.exp(-0.5 * np.square(t)) + TAIL_SLACK * gamma
-
-    # A strict tail holds at most n - 1 of n rows, so only a value with
-    # allowed < 1 can be the threshold; allowed never increases with T, so
-    # these are the largest projections. Every projection above one of them
-    # is at least the smallest of them, so sorting from there gives the same
-    # strict tail counts as sorting all n.
-    below = allowed(proj) < 1.0
-    if below.any():
-        cand = np.sort(proj[proj >= proj[below].min()])
-        # Strict-tail count for candidate T = cand[j]: everything to the
-        # right of the last occurrence of that value.
-        tail_counts = cand.size - np.searchsorted(cand, cand, side="right")
-        hits = np.flatnonzero(tail_counts / n > allowed(cand))
-        if hits.size:
-            return np.flatnonzero(proj > cand[hits[0]])
-    return np.array([np.argmax(proj)])
-
-
 def filter_gaussian_unknown_mean(data, cfg: RobustConfig) -> FilterOutcome:
     """Run the filter until the covariance certificate holds.
 
     Loop: mean, covariance, spectral deviation lambda* of (cov - I); stop
     with CERTIFICATE once lambda* <= thresh(gamma, C) on survivor moments
     rebuilt two-pass, or with FALLBACK_EXHAUSTED when the next removal
-    would leave fewer than max(2, ceil((1 - 2 gamma) n)) rows. A tail set
-    that would breach that floor is replaced by the single row of largest
-    projection, and the run ends only when removing that row, too, would
-    breach it. Every round removes at least one row, so there are at most
-    n - 2 rounds. The mean of the surviving rows is returned in every case.
+    would leave fewer than max(2, ceil((1 - 2 gamma) n)) rows. Every other
+    round removes the one survivor of largest |projection| onto the top
+    direction, so there are at most n - 2 rounds. The mean of the surviving
+    rows is returned in every case.
     """
     arr = as_dataset(data)
     n, d = arr.shape
@@ -158,15 +125,15 @@ def filter_gaussian_unknown_mean(data, cfg: RobustConfig) -> FilterOutcome:
     floor = max(2, math.ceil((1.0 - 2.0 * cfg.gamma) * n))
 
     # Survivor moments are held as s1 = sum y and s2 = sum y y^T with
-    # y = arr - anchor, downdated by each round's removed rows. Each rebuild
+    # y = arr - anchor, downdated by each removed row. Each rebuild
     # re-anchors at the survivor mean, where s1 is 0 and sigma comes from
     # empirical_covariance itself; y is dropped first, so at most three
     # (n, d) arrays are alive.
-    def rebuild(alive):
-        subset = arr[alive]
+    def rebuild():
+        subset = arr[~dead]
         anchor = subset.mean(axis=0)
         sigma = empirical_covariance(subset, anchor)
-        return arr - anchor, np.zeros(d), alive.size * sigma, sigma
+        return arr - anchor, np.zeros(d), m * sigma, sigma
 
     # (lambda_2 of sigma - I, survivors) at the solver's last full spectral
     # call; none has been made yet, so the first bound is infinite.
@@ -174,20 +141,20 @@ def filter_gaussian_unknown_mean(data, cfg: RobustConfig) -> FilterOutcome:
 
     def rebase(value):
         nonlocal second
-        second = (value, alive.size)
+        second = (value, m)
 
-    alive = np.arange(n)
-    y, s1, s2, sigma = rebuild(alive)
+    dead = np.zeros(n, dtype=bool)
+    m = n
+    y, s1, s2, sigma = rebuild()
     exact = True
     removed: list[int] = []
-    iterations = 0
     while True:
         if exact:
             # Exact moments are validated and solved from the cold start, so
             # a certificate rests on the same solve as without the warm start.
             deviation, direction = spectral_deviation_pair(sigma)
         else:
-            rho = second[1] / alive.size
+            rho = second[1] / m
             value, direction = _power_eigenpair(sigma_minus_identity, direction, rho * second[0] + rho - 1.0, rebase)
             deviation = max(0.0, value)
 
@@ -196,39 +163,36 @@ def filter_gaussian_unknown_mean(data, cfg: RobustConfig) -> FilterOutcome:
                 term = Termination.CERTIFICATE
                 break
             del y
-            y, s1, s2, sigma = rebuild(alive)
+            y, s1, s2, sigma = rebuild()
             exact = True
             continue
 
-        shift = s1 / alive.size
-        proj = np.abs((y @ direction)[alive] - shift @ direction)
-        local = _tail_removal(proj, cfg.gamma)
-        if alive.size - local.size < floor and local.size > 1:
-            # A few far outliers move the mean so that every clean row sits
-            # in the tail: remove only the most extreme row.
-            local = np.array([np.argmax(proj)])
-        if alive.size - local.size < floor:
+        if m - 1 < floor:
             term = Termination.FALLBACK_EXHAUSTED
             break
+        # Dead rows read -1, below every |projection|; the argmax breaks ties
+        # to the lowest surviving index.
+        proj = np.abs(y @ direction - (s1 / m) @ direction)
+        proj[dead] = -1.0
+        i = int(np.argmax(proj))
 
-        gone = alive[local]
-        rows = y[gone]
-        s1 -= rows.sum(axis=0)
-        s2 -= rows.T @ rows
-        removed.extend(gone.tolist())
-        alive = np.delete(alive, local)
-        # s2 stays exactly symmetric (numpy forms rows.T @ rows as a
-        # symmetric rank-k update), and so does sigma - I.
-        shift = s1 / alive.size
-        sigma_minus_identity = s2 / alive.size
+        row = y[i]
+        s1 -= row
+        # A one-row outer product is exactly symmetric, so s2 and sigma - I
+        # stay exactly symmetric.
+        s2 -= np.outer(row, row)
+        removed.append(i)
+        dead[i] = True
+        m -= 1
+        shift = s1 / m
+        sigma_minus_identity = s2 / m
         sigma_minus_identity -= np.outer(shift, shift)
         sigma_minus_identity.flat[:: d + 1] -= 1.0
         exact = False
-        iterations += 1
 
-    surviving = arr[alive]
+    surviving = arr[~dead]
     diagnostics = FilterDiagnostics(
-        iterations=iterations,
+        iterations=len(removed),
         removed_indices=removed,
         final_spectral_deviation=deviation,
         threshold=threshold,

@@ -365,12 +365,23 @@ def write_records_csv(records: list[TrialRecord], path, include_timings: bool = 
         fh.write(records_to_csv(records, include_timings=include_timings))
 
 
+def _read_text(path, encoding: str) -> str:
+    """The text of a file; bytes that do not decode raise ConfigError naming
+    the file and line."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode(encoding)
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"{path}, line {line}: byte {raw[exc.start]:#04x} is not {encoding} text") from exc
+
+
 def read_records_csv(path) -> list[TrialRecord]:
     """Read back a records CSV. Floats were written with repr, so they
     round-trip exactly; a blank runtime_ms reads as NaN. A file that is not
     a records CSV raises ConfigError naming the file and line."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    lines = _read_text(path, "ascii").splitlines()
     header = lines[0] if lines else ""
     if tuple(header.split(",")) != RECORD_COLUMNS:
         raise ConfigError(f"{path}, line 1: not a records CSV: header {header!r}")
@@ -502,8 +513,7 @@ def make_adversary(name: str, magnitude: float = 10.0) -> Adversary | None:
 def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
     """Read a sweep config file; seed_override (the --seed flag), when
     given, replaces the file's base_seed."""
-    with open(path, "r", encoding="utf-8") as fh:
-        config = parse_config_text(fh.read())
+    config = parse_config_text(_read_text(path, "utf-8"))
     if seed_override is not None:
         return replace(config, base_seed=int(seed_override))
     return config

@@ -17,9 +17,8 @@ class RobustConfig:
 
     gamma is the corruption fraction, tau the confidence / additive
     privacy term, c_thresh the constant C in the termination threshold
-    C * gamma * ln(1/gamma). The tail rule has no parameters of its own
-    beyond gamma: its constants are filtering.TAIL_COEFFICIENT and
-    filtering.TAIL_SLACK.
+    C * gamma * ln(1/gamma). Removal has no parameters of its own: each
+    round removes the one survivor of largest projection.
     """
 
     gamma: float

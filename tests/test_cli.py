@@ -209,9 +209,11 @@ class TestExitCodes:
         assert run(["sweep", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "o.csv")]) == 1
 
     def test_bad_config_value_is_one(self, tmp_path, capsys):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("n_values = 10\nd_values = 2\ngamma = 0.9\n")
-        assert run(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 1
+        cfg, out = tmp_path / "bad.cfg", tmp_path / "o.csv"
+        for body in (b"n_values = 10\nd_values = 2\ngamma = 0.9\n", b"n_values = 10\nd_values = 2\n# \xff\n"):
+            cfg.write_bytes(body)
+            assert run(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+            assert not out.exists()
 
     def test_bad_gamma_flag_is_one(self, tmp_path, capsys):
         data = tmp_path / "d.csv"

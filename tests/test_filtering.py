@@ -1,7 +1,10 @@
-"""Filter mechanics: threshold, tail rule, full loop, and set accounting.
+"""Filter mechanics: threshold, the one-row removal round, full loop, and set
+accounting.
 
-Oracles: a full-sort version of the tail rule for its candidate-only form,
-and an exact-moment loop (two-pass survivor moments, np.linalg.eigh and
+The tail rule of Diakonikolas et al. is kept here in full-sort form as a
+reference: a property test shows that under the survivor floor it only ever
+removes the row of largest projection, which is the one row the loop removes.
+Oracle: an exact-moment loop (two-pass survivor moments, np.linalg.eigh and
 the full-sort tail rule every round) for the loop's downdated moments.
 """
 
@@ -18,7 +21,6 @@ from dprobust import filtering
 from dprobust.filtering import (
     SampleSizeWarning,
     Termination,
-    _tail_removal,
     filter_gaussian_unknown_mean,
     thresh,
 )
@@ -158,75 +160,24 @@ class TestThresh:
             thresh(0.1, -1.0)
 
 
-class TestFilterStep:
-    """The tail rule of one removal step, on projections onto a direction."""
-
-    def test_identical_points_fallback_lowest_index(self):
-        data = np.ones((6, 2))
-        out = _tail_removal(project(data, np.ones(2), np.array([1.0, 0.0])), 0.1)
-        assert out.tolist() == [0]
-
-    def test_single_far_outlier_d1(self):
-        # 99 points at 0, one at 50: the tail rule cannot fire (it would
-        # need more than 8% of the mass in the tail at gamma = 0.01), so
-        # the max-projection fallback removes exactly the outlier.
-        data = np.zeros((100, 1))
-        data[63, 0] = 50.0
-        mu = empirical_mean(data)
-        out = _tail_removal(project(data, mu, np.array([1.0])), 0.01)
-        assert out.tolist() == [63]
-
-    def test_removal_never_empty(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            data = rng.normal(size=(rng.integers(2, 30), 3))
-            mu = empirical_mean(data)
-            v = rng.normal(size=3)
-            v /= np.linalg.norm(v)
-            assert len(_tail_removal(project(data, mu, v), 0.1)) >= 1
-
-    def test_tail_rule_fires_at_small_gamma(self):
-        # 10% of the mass sits at projection ~9; with gamma = 0.001 the
-        # allowed tail is ~0.8% + 8 exp(-T^2/2), so the rule triggers and
-        # removes the whole cluster at once instead of one point per call.
-        rng = np.random.default_rng(11)
-        data = rng.normal(size=(1000, 1))
-        data[:100, 0] = 9.0
-        mu = np.zeros(1)
-        removed = _tail_removal(project(data, mu, np.array([1.0])), 0.001).tolist()
-        assert set(range(100)) <= set(removed)
-        assert len(removed) <= 115
-
-    def test_tau_dependent_tail_alternative(self):
-        # The input on which a T-dependent slack (decaying like 1/T^2) would
-        # remove the whole 10% cluster at once: the flat 8*gamma slack the
-        # filter uses allows 0.8 of the mass in any tail, so it falls back
-        # to single removal.
-        rng = np.random.default_rng(15)
-        data = rng.normal(size=(1000, 4))
-        data[:100, 0] = 9.0
-        mu = np.zeros(4)
-        v = np.array([1.0, 0.0, 0.0, 0.0])
-        flat = _tail_removal(project(data, mu, v), 0.1)
-        assert len(flat) == 1  # 8 * gamma = 0.8 is never exceeded
+class TestOneRowRule:
+    """The tail rule cut to the survivor floor is the argmax row."""
 
     @given(
-        st.lists(
-            st.floats(min_value=0.0, max_value=12.0) | st.sampled_from([0.0, 1.0, 2.72, 3.0, 9.0]),
-            min_size=1,
-            max_size=60,
-        ),
-        st.sampled_from(["mixed", "above", "below"]),
-        st.floats(min_value=1e-3, max_value=0.49),
+        st.data(),
+        st.integers(min_value=2, max_value=60),
+        st.floats(min_value=1e-3, max_value=0.499) | st.sampled_from([0.005, 0.01, 0.1, 0.45]),
     )
     @settings(max_examples=300, deadline=None)
-    def test_candidate_rule_matches_full_sort(self, values, place, gamma):
-        proj = np.array(values)
-        if place == "above":  # every projection a candidate
-            proj = proj + 2.73
-        elif place == "below":
-            proj = proj * (2.7 / 12.0)
-        assert _tail_removal(proj, gamma).tolist() == full_sort_tail_rule(proj, gamma)
+    def test_tail_set_is_argmax_or_breaches_floor(self, data, n, gamma):
+        # Projections of m survivors, with m at or above the floor as in
+        # every removal round.
+        floor = max(2, math.ceil((1.0 - 2.0 * gamma) * n))
+        m = data.draw(st.integers(min_value=floor, max_value=n))
+        values = st.floats(min_value=0.0, max_value=12.0) | st.sampled_from([0.0, 1.0, 2.72, 3.0, 9.0])
+        proj = data.draw(arrays(np.float64, m, elements=values))
+        tail = full_sort_tail_rule(proj, gamma)
+        assert tail == [int(np.argmax(proj))] or m - len(tail) < floor
 
 
 class TestSecondEigenvalueBound:
@@ -309,6 +260,24 @@ class TestFilterLoop:
         filter_gaussian_unknown_mean(make(), cfg)
         assert len(slack) > 100 and min(slack) >= -1e-9
 
+    def test_identical_points_removed_lowest_index_first(self):
+        # Three identical rows tie for the largest projection every round they survive.
+        data = np.zeros((20, 1))
+        data[[2, 5, 9], 0] = 10.0
+        out = filter_gaussian_unknown_mean(data, RobustConfig(gamma=0.2))
+        assert out.diagnostics.removed_indices == [2, 5, 9]
+        assert out.diagnostics.terminated_by is Termination.CERTIFICATE
+
+    def test_single_far_outlier_d1(self):
+        # 99 points at 0, one at 50: the outlier is removed first, and the
+        # rest certify.
+        data = np.zeros((100, 1))
+        data[63, 0] = 50.0
+        out = filter_gaussian_unknown_mean(data, RobustConfig(gamma=0.01))
+        assert out.diagnostics.removed_indices == [63]
+        assert out.diagnostics.terminated_by is Termination.CERTIFICATE
+        assert np.array_equal(out.mean, np.zeros(1))
+
     def test_repeated_single_point(self):
         data = np.tile(np.array([4.0, -2.0, 7.0]), (50, 1))
         out = filter_gaussian_unknown_mean(data, RobustConfig(gamma=0.1, c_thresh=1.0))
@@ -379,8 +348,9 @@ class TestFilterLoop:
 
     @pytest.mark.parametrize("k", [2, 20, 100])
     def test_far_outliers_removed(self, k):
-        # k rows moved by 1e4 e1 push every clean projection into the tail
-        # set, which would breach the floor; the loop removes them one by one.
+        # k rows moved by 1e4 e1 shift the mean so far that the tail rule
+        # would put every clean row in its tail; one row a round removes
+        # exactly the moved rows.
         data = sample_gaussian(4000, 20, 0.0, seed=0)
         data[:k, 0] += 1e4
         out = filter_gaussian_unknown_mean(data, RobustConfig(gamma=0.1))

@@ -436,12 +436,13 @@ class TestRecordsCsv:
             ("", 1),
             ("dp_plain,10,2\n", 2),
             ("dp_plain,ten,2,0.1,1.0,0.05,1.0,0,0,1.5,0.0,1.0,1.0,0,0,,\n", 2),
+            ("\xff\xfe", 2),
         ],
-        ids=["empty", "short_row", "non_integer_n"],
+        ids=["empty", "short_row", "non_integer_n", "not_ascii"],
     )
     def test_read_rejects_malformed_records(self, tmp_path, body, line):
         path = tmp_path / "records.csv"
         header = records_to_csv([]) if body else ""
-        path.write_text(header + body)
+        path.write_bytes((header + body).encode("latin-1"))
         with pytest.raises(ConfigError, match=f"records.csv, line {line}: "):
             read_records_csv(path)
