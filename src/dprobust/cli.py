@@ -86,7 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="noise seed for reproducible experiments (default: OS entropy)",
     )
-    p_est.add_argument("--alpha", type=float, default=0.05, help="winsorization trim level")
     p_est.add_argument("--range-bound", type=float, default=10.0, help="winsorization known range R")
     p_est.add_argument(
         "--diagnostic",
@@ -189,7 +188,7 @@ def _cmd_estimate(args) -> int:
         if method is Method.DP_ROBUST:
             cfg = RobustConfig(gamma=args.gamma, tau=args.tau, c_thresh=args.c_thresh)
         elif method is Method.DP_WINSORIZED:
-            wcfg = WinsorizeConfig(alpha=args.alpha, range_bound=args.range_bound)
+            wcfg = WinsorizeConfig(range_bound=args.range_bound)
         elif not (math.isfinite(args.c_thresh) and args.c_thresh > 0.0):
             # dp_plain's gamma = 1/n is known only once the data is read.
             raise ValueError("c_thresh must be positive and finite")
@@ -210,7 +209,6 @@ def _cmd_estimate(args) -> int:
     else:
         report = dp_winsorized_mean(data, wcfg, privacy, args.seed, diagnostic=args.diagnostic)
         params = {
-            "alpha": args.alpha,
             "range_bound": args.range_bound,
             "epsilon": args.epsilon,
             "delta": args.tau,

@@ -7,8 +7,8 @@ Gaussian noise scaled to that movement and builds the report.
 - dp_robust_mean: filter at corruption level gamma, noise scaled to the
   dimension-free certificate bound.
 - dp_mean: the corruption-free special case gamma = 1/n.
-- dp_winsorized_mean: the classical baseline; requires a known coordinate
-  range [-R, R] and pays a sqrt(d) factor in sensitivity for it.
+- dp_winsorized_mean: the classical baseline; clamps every coordinate to a
+  known range [-R, R] and pays a sqrt(d) factor in sensitivity for it.
 
 Reports carry the pre-noise mean and filter diagnostics only when
 diagnostic=True; that output is not privatized and must not be released.
@@ -46,14 +46,11 @@ class Method(str, Enum):
 
 @dataclass(frozen=True)
 class WinsorizeConfig:
-    """Trim level alpha and the assumed per-coordinate data range [-R, R]."""
+    """The assumed per-coordinate data range [-R, R]."""
 
-    alpha: float = 0.05
     range_bound: float = 10.0
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 0.5:
-            raise ValueError("alpha must lie in (0, 0.5)")
         if not (math.isfinite(self.range_bound) and self.range_bound > 0.0):
             raise ValueError("range_bound must be positive and finite")
 
@@ -146,15 +143,11 @@ def dp_mean(
 
 
 def winsorized_mean(data, wcfg: WinsorizeConfig) -> np.ndarray:
-    """Pre-noise winsorized mean: clamp to [-R, R], then per coordinate pull
-    values below the alpha quantile up to it and above the (1 - alpha)
-    quantile down to it, and average."""
-    arr = as_dataset(data)
+    """Pre-noise winsorized mean: clamp every coordinate to [-R, R] and
+    average. The clamp uses no statistic of the data, so one changed row
+    moves each coordinate of the mean by at most 2R/n."""
     r = wcfg.range_bound
-    clamped = np.clip(arr, -r, r)
-    lo = np.quantile(clamped, wcfg.alpha, axis=0)
-    hi = np.quantile(clamped, 1.0 - wcfg.alpha, axis=0)
-    return np.clip(clamped, lo, hi).mean(axis=0)
+    return np.clip(as_dataset(data), -r, r).mean(axis=0)
 
 
 def dp_winsorized_mean(
@@ -165,13 +158,12 @@ def dp_winsorized_mean(
     *,
     diagnostic: bool = False,
 ) -> EstimateReport:
-    """Classical baseline: winsorized mean plus Gaussian noise.
+    """Classical baseline: clamped mean plus Gaussian noise.
 
     One row change moves each clamped coordinate mean by at most 2R/n, so
     the l2 sensitivity is 2 R sqrt(d) / n: the sqrt(d) factor is the
     dimension-dependent privacy cost this baseline pays and the filtered
-    estimators avoid. The empirical winsorization quantiles only tighten
-    the known-range clamp.
+    estimators avoid.
     """
     arr = as_dataset(data)
     n, d = arr.shape

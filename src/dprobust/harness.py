@@ -37,7 +37,7 @@ from .estimators import (
     dp_winsorized_mean,
 )
 from .filtering import SampleSizeWarning, thresh
-from .linalg import empirical_covariance, empirical_mean, spectral_deviation
+from .linalg import empirical_covariance, empirical_mean, spectral_deviation_pair
 from .privacy import PrivacyParams
 from .sensitivity import RobustConfig
 
@@ -247,10 +247,12 @@ def calibrate_c(
     """Smallest grid C whose threshold covers the stated quantile of
     first-pass spectral deviations on clean N(0, I) samples.
 
-    The pass fraction is monotone in C, so a binary search over the
-    (geometric) grid finds the smallest admissible value. If even the grid
-    maximum fails, that maximum is returned with a warning. The arguments
-    are checked before any sample is drawn.
+    C passes when at least k of the trials have deviation <= thresh(gamma,
+    C), k being the smallest count with k / trials >= quantile; that holds
+    exactly when the k-th smallest deviation is within the threshold, so the
+    answer is the first grid threshold at or above that order statistic. If
+    even the grid maximum fails, that maximum is returned with a warning.
+    The arguments are checked before any sample is drawn.
     """
     if not 0.0 < gamma < 0.5:
         raise ConfigError("gamma must lie in (0, 0.5)")
@@ -263,31 +265,24 @@ def calibrate_c(
     if grid is None:
         grid = np.logspace(-2, 4, 301)
     grid = np.sort(np.asarray(grid, dtype=float))
+    if grid.size < 1 or not (np.isfinite(grid).all() and grid[0] > 0.0):
+        raise ConfigError("grid must be a nonempty list of positive finite values")
 
     deviations = np.empty(trials)
     for t in range(trials):
         data = sample_gaussian(n, d, 0.0, seed=derive_seed(seed, "calibrate", n, d, t))
-        deviations[t] = spectral_deviation(empirical_covariance(data, empirical_mean(data)))
+        deviations[t] = spectral_deviation_pair(empirical_covariance(data, empirical_mean(data)))[0]
 
-    def passes(c: float) -> bool:
-        return float(np.mean(deviations <= thresh(gamma, c))) >= quantile
-
-    lo, hi = 0, len(grid) - 1
-    if not passes(grid[hi]):
+    k = next(k for k in range(1, trials + 1) if k / trials >= quantile)
+    kth = np.sort(deviations)[k - 1]
+    i = int(np.searchsorted([thresh(gamma, c) for c in grid], kth))
+    if i == grid.size:
         warnings.warn(
             f"requested quantile {quantile} unreachable on the calibration grid; "
-            f"returning grid maximum {grid[hi]}"
+            f"returning grid maximum {grid[-1]}"
         )
-        return float(grid[hi])
-    if passes(grid[lo]):
-        return float(grid[lo])
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if passes(grid[mid]):
-            hi = mid
-        else:
-            lo = mid
-    return float(grid[hi])
+        return float(grid[-1])
+    return float(grid[i])
 
 
 def _iqr(values: list[float]) -> float:
@@ -415,7 +410,7 @@ def aggregate_to_csv(rows: list[AggregateRow]) -> str:
 
 
 _LIST_KEYS = {"n_values", "d_values"}
-_FLOAT_KEYS = {"gamma", "epsilon", "tau", "c_thresh", "winsorize_alpha", "winsorize_range_bound", "adversary_magnitude"}
+_FLOAT_KEYS = {"gamma", "epsilon", "tau", "c_thresh", "winsorize_range_bound", "adversary_magnitude"}
 _INT_KEYS = {"trials", "base_seed"}
 _BOOL_KEYS = {"corrupt_all", "fixed_count_corruption"}
 _KNOWN_KEYS = (
@@ -427,10 +422,10 @@ def parse_config_text(text: str) -> ExperimentConfig:
     """Parse the flat key = value sweep configuration format.
 
     Keys match ExperimentConfig field names; the nested winsorize and
-    adversary settings use the flattened keys winsorize_alpha,
-    winsorize_range_bound, adversary and adversary_magnitude. Lists are
-    comma-separated. c_thresh = calibrate sets c_thresh None (calibrated
-    per cell by run_sweep). Lines starting with # are comments.
+    adversary settings use the flattened keys winsorize_range_bound,
+    adversary and adversary_magnitude. Lists are comma-separated.
+    c_thresh = calibrate sets c_thresh None (calibrated per cell by
+    run_sweep). Lines starting with # are comments.
     """
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -478,13 +473,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
         kwargs["methods"] = tuple(methods)
 
     try:
-        wcfg = WinsorizeConfig(
-            alpha=float(raw.get("winsorize_alpha", 0.05)),
-            range_bound=float(raw.get("winsorize_range_bound", 10.0)),
-        )
+        kwargs["winsorize"] = WinsorizeConfig(range_bound=float(raw.get("winsorize_range_bound", 10.0)))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    kwargs["winsorize"] = wcfg
 
     if "adversary" in raw or "adversary_magnitude" in raw:
         name = raw.get("adversary", "constant_cluster").strip().lower()

@@ -67,14 +67,14 @@ def as_vector(v, dim: int | None = None) -> np.ndarray:
     return arr
 
 
-def as_sym_matrix(m, atol: float = SYMMETRY_ATOL) -> np.ndarray:
-    """Validate m as a finite symmetric square matrix (within atol)."""
+def as_sym_matrix(m) -> np.ndarray:
+    """Validate m as a finite symmetric square matrix (within SYMMETRY_ATOL)."""
     arr = np.asarray(m, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"matrix must be square, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError("matrix contains non-finite entries")
-    if np.max(np.abs(arr - arr.T), initial=0.0) > atol:
+    if np.max(np.abs(arr - arr.T), initial=0.0) > SYMMETRY_ATOL:
         raise ValueError("matrix is not symmetric within tolerance")
     return 0.5 * (arr + arr.T)
 
@@ -173,17 +173,13 @@ def _power_eigenpair(mat: np.ndarray, start=None, bound=math.inf, rebase=None) -
     return float(values[-1]), vectors[:, -1]
 
 
-def spectral_deviation(sigma) -> float:
-    """Largest eigenvalue of (sigma - I), clamped below at 0.
+def spectral_deviation_pair(sigma) -> tuple[float, np.ndarray]:
+    """Largest eigenvalue of (sigma - I), clamped below at 0, with a unit
+    eigenvector.
 
-    This is the quantity the filter compares against its termination
+    The value is what the filter compares against its termination
     threshold: only positive excess over the identity matters.
     """
-    return spectral_deviation_pair(sigma)[0]
-
-
-def spectral_deviation_pair(sigma) -> tuple[float, np.ndarray]:
-    """spectral_deviation together with the corresponding unit direction."""
     mat = as_sym_matrix(sigma)
     value, vector = _power_eigenpair(mat - np.eye(mat.shape[0]))
     return max(0.0, value), vector

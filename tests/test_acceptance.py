@@ -7,13 +7,13 @@ nowhere else. Run with -s to see the criterion lines as they complete.
 
 Criterion 7 is asserted exactly as stated and is expected to fail: with
 noise calibrated to the certificate bound (3 + 2 sqrt(g)) kappa(g)
-+ 2 g sqrt(C ln(1/g)) at gamma = 0.1 and a winsorized baseline released
-through a single l2 Gaussian mechanism with sensitivity 2 R sqrt(d) / n,
-the winsorized error at n = 1000, d = 200, R = 10 is about 0.04x the
-filtered estimator's error, not >= 10x. No parameter choice permitted by
-the other criteria (epsilon = 1, R = 10, alpha = 0.05, any C, any tau
-shared by both mechanisms) reverses that ordering; see the ordering checks
-inside the test for what does hold.
++ 2 g sqrt(C ln(1/g)) at gamma = 0.1 and a winsorized baseline (the mean
+of the data clamped to [-R, R]) released through a single l2 Gaussian
+mechanism with sensitivity 2 R sqrt(d) / n, the winsorized error at
+n = 1000, d = 200, R = 10 is about 0.04x the filtered estimator's error,
+not >= 10x. No parameter choice permitted by the other criteria
+(epsilon = 1, R = 10, any C, any tau shared by both mechanisms) reverses
+that ordering; see the ordering checks inside the test for what does hold.
 """
 
 import time
@@ -178,7 +178,7 @@ def test_criterion_7_figure_shape():
             trials=20,
             base_seed=71_000,
             methods=(Method.DP_ROBUST, Method.DP_WINSORIZED),
-            winsorize=dp.WinsorizeConfig(alpha=0.05, range_bound=10.0),
+            winsorize=dp.WinsorizeConfig(range_bound=10.0),
             adversary=dp.ConstantCluster(offset=10.0),
             fixed_count_corruption=True,
         )

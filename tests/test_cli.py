@@ -98,7 +98,7 @@ class TestEstimate:
         run(
             [
                 "estimate", "--data", str(dataset), "--method", "dp_winsorized",
-                "--alpha", "0.05", "--range-bound", "10", "--seed", "2",
+                "--range-bound", "10", "--seed", "2",
             ]
         )
         payload = json.loads(capsys.readouterr().out.strip())
@@ -210,7 +210,11 @@ class TestExitCodes:
 
     def test_bad_config_value_is_one(self, tmp_path, capsys):
         cfg, out = tmp_path / "bad.cfg", tmp_path / "o.csv"
-        for body in (b"n_values = 10\nd_values = 2\ngamma = 0.9\n", b"n_values = 10\nd_values = 2\n# \xff\n"):
+        for body in (
+            b"n_values = 10\nd_values = 2\ngamma = 0.9\n",
+            b"n_values = 10\nd_values = 2\n# \xff\n",
+            b"n_values = 10\nd_values = 2\nwinsorize_alpha = 0.05\n",
+        ):
             cfg.write_bytes(body)
             assert run(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
             assert not out.exists()
@@ -227,7 +231,10 @@ class TestExitCodes:
             for method in ("dp_robust", "dp_plain", "dp_winsorized")
             for flag, value in (("--epsilon", "0"), ("--epsilon", "nan"), ("--tau", "2"))
         ]
-        + [(method, "--c-thresh", value) for method in ("dp_robust", "dp_plain") for value in ("0", "nan")],
+        + [(method, "--c-thresh", value) for method in ("dp_robust", "dp_plain") for value in ("0", "nan")]
+        + [("dp_winsorized", "--range-bound", "0"), ("dp_winsorized", "--range-bound", "nan")]
+        # The trim level is gone; argparse rejects the flag.
+        + [("dp_winsorized", "--alpha", "0.05")],
     )
     def test_bad_privacy_argument_is_one(self, tmp_path, capsys, monkeypatch, method, flag, value):
         data = tmp_path / "d.csv"

@@ -5,8 +5,9 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dprobust import estimators
 from dprobust.datagen import sample_gaussian
@@ -130,16 +131,41 @@ class TestDpMean:
 
 
 class TestDpWinsorizedMean:
-    def test_tiny_alpha_recovers_empirical_mean(self):
+    def test_in_range_data_gives_empirical_mean(self):
         data = clean_data(n=200, d=3, seed=12)
-        mean = winsorized_mean(data, WinsorizeConfig(alpha=1e-9, range_bound=50.0))
-        assert np.max(np.abs(mean - data.mean(axis=0))) < 1e-6
+        assert np.abs(data).max() < 50.0
+        mean = winsorized_mean(data, WinsorizeConfig(range_bound=50.0))
+        np.testing.assert_array_equal(mean, data.mean(axis=0))
+
+    # 94 rows at 0 and 6 at R: moving one R row to 0 moved a mean that also
+    # clipped at empirical 5% / 95% quantiles by 0.575, 2.9x the claimed 2R/n.
+    @example(table=np.array([[0.0]] * 94 + [[10.0]] * 6 + [[0.0]]), i=94, r=10.0)
+    @given(
+        table=arrays(
+            float,
+            st.tuples(st.integers(2, 61), st.integers(1, 4)),
+            elements=st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False),
+        ),
+        i=st.integers(0, 1000),
+        r=st.floats(1e-3, 1e3),
+    )
+    @settings(max_examples=200)
+    def test_one_row_change_moves_mean_by_at_most_2r_over_n(self, table, i, r):
+        # The last row of table replaces row i % n of the n others.
+        data, n = table[:-1], table.shape[0] - 1
+        neighbour = data.copy()
+        neighbour[i % n] = table[-1]
+        wcfg = WinsorizeConfig(range_bound=r)
+        moved = np.abs(winsorized_mean(data, wcfg) - winsorized_mean(neighbour, wcfg))
+        # A running sum of n terms of size <= R, divided by n, is off by at
+        # most n * eps * R / 2 to first order, so two such means by n * eps * R.
+        assert moved.max() <= 2.0 * r / n + n * np.finfo(float).eps * r
 
     def test_clamping_example(self):
         data = np.array([[-100.0], [0.0], [100.0]])
         report = dp_winsorized_mean(
             data,
-            WinsorizeConfig(alpha=0.05, range_bound=1.0),
+            WinsorizeConfig(range_bound=1.0),
             PrivacyParams(1.0, 0.05),
             seed=13,
             diagnostic=True,
@@ -148,7 +174,7 @@ class TestDpWinsorizedMean:
 
     def test_variance_proportional_to_dimension(self):
         params = PrivacyParams(1.0, 0.05)
-        wcfg = WinsorizeConfig(alpha=0.05, range_bound=10.0)
+        wcfg = WinsorizeConfig(range_bound=10.0)
         v100 = dp_winsorized_mean(clean_data(n=300, d=100, seed=14), wcfg, params, seed=1).noise_variance
         v400 = dp_winsorized_mean(clean_data(n=300, d=400, seed=15), wcfg, params, seed=1).noise_variance
         assert v400 == pytest.approx(4.0 * v100, rel=1e-12)
@@ -157,7 +183,7 @@ class TestDpWinsorizedMean:
         n, d, r = 250, 9, 10.0
         report = dp_winsorized_mean(
             clean_data(n=n, d=d, seed=16),
-            WinsorizeConfig(alpha=0.05, range_bound=r),
+            WinsorizeConfig(range_bound=r),
             PrivacyParams(1.0, 0.05),
             seed=2,
         )
@@ -171,22 +197,18 @@ class TestDpWinsorizedMean:
         rng = np.random.default_rng(seed)
         data = rng.normal(scale=30.0, size=(50, 3))
         r = 5.0
-        mean = winsorized_mean(data, WinsorizeConfig(alpha=0.1, range_bound=r))
+        mean = winsorized_mean(data, WinsorizeConfig(range_bound=r))
         assert np.all(mean >= -r) and np.all(mean <= r)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            WinsorizeConfig(alpha=0.0, range_bound=1.0)
-        with pytest.raises(ValueError):
-            WinsorizeConfig(alpha=0.6, range_bound=1.0)
-        with pytest.raises(ValueError):
-            WinsorizeConfig(alpha=0.05, range_bound=-1.0)
+            WinsorizeConfig(range_bound=-1.0)
 
 
 class TestCrossMethod:
     def test_winsorized_pays_dimension_robust_does_not(self):
         params = PrivacyParams(1.0, 0.05)
-        wcfg = WinsorizeConfig(alpha=0.05, range_bound=10.0)
+        wcfg = WinsorizeConfig(range_bound=10.0)
         ratios = []
         robust_vars = []
         for d in (10, 40):

@@ -6,9 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
-from dprobust.datagen import ConstantCluster
+from dprobust.datagen import ConstantCluster, sample_gaussian
 from dprobust import harness
 from dprobust.estimators import Method
+from dprobust.filtering import thresh
 from dprobust.harness import (
     ConfigError,
     ExperimentConfig,
@@ -23,6 +24,7 @@ from dprobust.harness import (
     run_sweep,
     write_records_csv,
 )
+from dprobust.linalg import empirical_covariance, empirical_mean, spectral_deviation_pair
 from dprobust.privacy import PrivacyParams, noise_scale
 from dprobust.sensitivity import single_point_bound
 
@@ -227,8 +229,35 @@ class TestCalibrateC:
             calibrate_c(n=100, d=2, gamma=0.1, quantile=0.4, trials=5, seed=0)
 
     @pytest.mark.parametrize(
+        "n,d,gamma,quantile,trials,seed,grid",
+        [
+            (300, 6, 0.1, 0.95, 20, 4, None),  # k / trials = 19 / 20 meets 0.95 exactly
+            (200, 3, 0.25, 0.9, 7, 11, None),
+            (50, 20, 0.01, 0.99, 1, 3, None),
+            (400, 5, 0.1, 0.6, 13, 8, [4.0, 0.5, 1.0, 2.0, 1.0, 8.0]),
+            (100, 8, 0.1, 0.95, 10, 7, [1e-6, 2e-6]),  # no grid C passes
+        ],
+    )
+    def test_matches_linear_scan(self, n, d, gamma, quantile, trials, seed, grid):
+        deviations = []
+        for t in range(trials):
+            data = sample_gaussian(n, d, 0.0, seed=derive_seed(seed, "calibrate", n, d, t))
+            deviations.append(spectral_deviation_pair(empirical_covariance(data, empirical_mean(data)))[0])
+        scan = np.sort(np.logspace(-2, 4, 301) if grid is None else grid)
+        passing = [c for c in scan if np.mean(np.array(deviations) <= thresh(gamma, c)) >= quantile]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            c = calibrate_c(n, d, gamma, quantile, trials, seed, grid=grid)
+        if passing:
+            assert c == passing[0] and not caught
+        else:
+            assert c == scan[-1]
+            assert any("unreachable" in str(w.message) for w in caught)
+
+    @pytest.mark.parametrize(
         "bad",
-        [{"gamma": 0.6}, {"gamma": float("nan")}, {"n": 1}, {"d": 0}, {"quantile": 1.0}, {"trials": 0}],
+        [{"gamma": 0.6}, {"gamma": float("nan")}, {"n": 1}, {"d": 0}, {"quantile": 1.0}, {"trials": 0}]
+        + [{"grid": grid} for grid in ([], [1.0, float("nan")], [0.0, 1e4], [-1.0, 1.0], [1.0, float("inf")])],
     )
     def test_arguments_checked_before_sampling(self, monkeypatch, bad):
         def no_sampling(*args, **kwargs):
@@ -309,7 +338,6 @@ class TestConfigParsing:
         trials = 4
         base_seed = 99
         methods = dp_robust, dp_winsorized
-        winsorize_alpha = 0.1
         winsorize_range_bound = 5.0
         adversary = directional_spread
         adversary_magnitude = 12.0
@@ -323,14 +351,15 @@ class TestConfigParsing:
         assert config.epsilon == 0.5
         assert config.trials == 4
         assert config.methods == (Method.DP_ROBUST, Method.DP_WINSORIZED)
-        assert config.winsorize.alpha == 0.1
         assert config.winsorize.range_bound == 5.0
         assert config.adversary.magnitude == 12.0
         assert config.corrupt_all and config.fixed_count_corruption
 
     def test_unknown_key(self):
-        with pytest.raises(ConfigError, match="unknown key"):
-            parse_config_text("n_values = 10\nd_values = 2\nbogus = 1\n")
+        # winsorize_alpha set a trim level that the winsorized baseline no longer has.
+        for line in ("bogus = 1", "winsorize_alpha = 0.05"):
+            with pytest.raises(ConfigError, match="unknown key"):
+                parse_config_text(f"n_values = 10\nd_values = 2\n{line}\n")
 
     def test_duplicate_key(self):
         with pytest.raises(ConfigError, match="duplicate"):

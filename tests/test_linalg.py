@@ -19,7 +19,6 @@ from dprobust.linalg import (
     empirical_covariance,
     empirical_mean,
     max_eigenpair,
-    spectral_deviation,
     spectral_deviation_pair,
     spectral_norm,
 )
@@ -195,19 +194,19 @@ class TestMaxEigenpair:
 
 class TestSpectralDeviation:
     def test_identity_exact_zero(self):
-        assert spectral_deviation(np.eye(5)) == 0.0
+        assert spectral_deviation_pair(np.eye(5))[0] == 0.0
 
     def test_diagonal(self):
-        assert spectral_deviation(np.diag([1.5, 1.0])) == pytest.approx(0.5, abs=1e-9)
+        assert spectral_deviation_pair(np.diag([1.5, 1.0]))[0] == pytest.approx(0.5, abs=1e-9)
 
     def test_clamps_when_all_below_identity(self):
         # Sigma - I has eigenvalues {-0.9, -0.5}; deviation clamps to 0.
-        assert spectral_deviation(np.diag([0.1, 0.5])) == 0.0
+        assert spectral_deviation_pair(np.diag([0.1, 0.5]))[0] == 0.0
 
     def test_negative_dominant_magnitude(self):
         # Sigma - I eigenvalues {-0.9, +0.3}: the magnitude-dominant one is
         # negative but the deviation must report the algebraic max 0.3.
-        assert spectral_deviation(np.diag([0.1, 1.3])) == pytest.approx(0.3, abs=1e-8)
+        assert spectral_deviation_pair(np.diag([0.1, 1.3]))[0] == pytest.approx(0.3, abs=1e-8)
 
     def test_corrupted_data_matches_eigen_oracle(self, monkeypatch):
         rng = np.random.default_rng(8)
@@ -220,7 +219,7 @@ class TestSpectralDeviation:
         calls = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
-        assert spectral_deviation(cov) == pytest.approx(expected, abs=1e-8)
+        assert spectral_deviation_pair(cov)[0] == pytest.approx(expected, abs=1e-8)
         assert calls == []
 
     def test_direction_residual_in_high_dimension(self):
@@ -243,8 +242,8 @@ class TestSpectralDeviation:
         q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
         rotated = q @ base @ q.T
         rotated = (rotated + rotated.T) / 2.0
-        assert spectral_deviation(rotated) == pytest.approx(
-            spectral_deviation(base), abs=1e-8
+        assert spectral_deviation_pair(rotated)[0] == pytest.approx(
+            spectral_deviation_pair(base)[0], abs=1e-8
         )
 
 
