@@ -129,8 +129,9 @@ def dp_mean(
     The d/gamma^2 sample-size diagnostic is suppressed here: it targets the
     adversarial regime and is vacuous at gamma = 1/n.
     """
-    arr = as_dataset(data)
-    n = arr.shape[0]
+    # The filter validates the rows; the row count sets gamma before that.
+    arr = np.asarray(data, dtype=float)
+    n = arr.shape[0] if arr.ndim else 0
     if n < 3:
         raise ValueError("dp_mean requires at least 3 rows")
     cfg = RobustConfig(gamma=1.0 / n, tau=tau, c_thresh=c_thresh)
@@ -165,7 +166,7 @@ def dp_winsorized_mean(
     dimension-dependent privacy cost this baseline pays and the filtered
     estimators avoid.
     """
-    arr = as_dataset(data)
-    n, d = arr.shape
-    bound = wcfg.range_bound * math.sqrt(d) / n
-    return _release(Method.DP_WINSORIZED, winsorized_mean(arr, wcfg), bound, params, seed, diagnostic)
+    arr = np.asarray(data, dtype=float)
+    mean = winsorized_mean(arr, wcfg)  # validates arr
+    bound = wcfg.range_bound * math.sqrt(mean.size) / arr.shape[0]
+    return _release(Method.DP_WINSORIZED, mean, bound, params, seed, diagnostic)

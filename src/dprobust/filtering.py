@@ -80,10 +80,9 @@ class FilterDiagnostics:
 
 @dataclass(frozen=True)
 class FilterOutcome:
-    """Survivor mean, the surviving rows, and how filtering ended."""
+    """Survivor mean and how filtering ended."""
 
     mean: np.ndarray
-    surviving: np.ndarray
     diagnostics: FilterDiagnostics
 
 
@@ -190,7 +189,6 @@ def filter_gaussian_unknown_mean(data, cfg: RobustConfig) -> FilterOutcome:
         sigma_minus_identity.flat[:: d + 1] -= 1.0
         exact = False
 
-    surviving = arr[~dead]
     diagnostics = FilterDiagnostics(
         iterations=len(removed),
         removed_indices=removed,
@@ -198,5 +196,5 @@ def filter_gaussian_unknown_mean(data, cfg: RobustConfig) -> FilterOutcome:
         threshold=threshold,
         terminated_by=term,
     )
-    return FilterOutcome(mean=surviving.mean(axis=0), surviving=surviving, diagnostics=diagnostics)
+    return FilterOutcome(mean=arr[~dead].mean(axis=0), diagnostics=diagnostics)
 

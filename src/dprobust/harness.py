@@ -58,7 +58,6 @@ class ExperimentConfig:
     methods: tuple[Method, ...] = (Method.DP_ROBUST, Method.DP_PLAIN, Method.DP_WINSORIZED)
     winsorize: WinsorizeConfig = field(default_factory=WinsorizeConfig)
     adversary: Adversary | None = field(default_factory=ConstantCluster)
-    corrupt_all: bool = False
     fixed_count_corruption: bool = False
 
     def __post_init__(self):
@@ -143,14 +142,13 @@ def _run_method(
 def run_sweep(config: ExperimentConfig) -> list[TrialRecord]:
     """Run every (n, d, trial, method) cell of the sweep.
 
-    The true mean is the origin. Corrupted input is fed to dp_robust (and,
-    with corrupt_all, to the other methods); dp_plain and dp_winsorized
-    otherwise see the clean sample. terminated_by is the filter's ending
-    for the filtered methods and blank for dp_winsorized. A failed trial is
-    recorded as a marker row (NaN errors, -1 counters, blank terminated_by)
-    and the sweep continues. With c_thresh None, each (n, d) cell first
-    calibrates C on 30 clean samples seeded by base_seed, and its records
-    carry that C.
+    The true mean is the origin. Corrupted input is fed to dp_robust only;
+    dp_plain and dp_winsorized see the clean sample. terminated_by is the
+    filter's ending for the filtered methods and blank for dp_winsorized. A
+    failed trial is recorded as a marker row (NaN errors, -1 counters, blank
+    terminated_by) and the sweep continues. With c_thresh None, each (n, d)
+    cell first calibrates C on 30 clean samples seeded by base_seed, and its
+    records carry that C.
     """
     records: list[TrialRecord] = []
     for n in config.n_values:
@@ -175,10 +173,7 @@ def run_sweep(config: ExperimentConfig) -> list[TrialRecord]:
                     dirty = clean
                 for method in config.methods:
                     seed = derive_seed(config.base_seed, "method", n, d, trial, method.value)
-                    use_dirty = config.adversary is not None and (
-                        method is Method.DP_ROBUST or config.corrupt_all
-                    )
-                    data = dirty if use_dirty else clean
+                    data = dirty if method is Method.DP_ROBUST else clean
                     records.append(_run_trial(method, data, cell, n, d, trial, seed))
     return records
 
@@ -234,6 +229,9 @@ def _run_trial(
     )
 
 
+_C_GRID = np.logspace(-2, 4, 301)  # the candidate constants C, ascending
+
+
 def calibrate_c(
     n: int,
     d: int,
@@ -241,11 +239,10 @@ def calibrate_c(
     quantile: float = 0.95,
     trials: int = 50,
     seed: int = 0,
-    *,
-    grid=None,
 ) -> float:
-    """Smallest grid C whose threshold covers the stated quantile of
-    first-pass spectral deviations on clean N(0, I) samples.
+    """Smallest C of 301 log-spaced values from 1e-2 to 1e4 whose threshold
+    covers the stated quantile of first-pass spectral deviations on clean
+    N(0, I) samples.
 
     C passes when at least k of the trials have deviation <= thresh(gamma,
     C), k being the smallest count with k / trials >= quantile; that holds
@@ -262,11 +259,6 @@ def calibrate_c(
         raise ConfigError("quantile must lie in (0.5, 1)")
     if trials < 1:
         raise ConfigError("trials must be at least 1")
-    if grid is None:
-        grid = np.logspace(-2, 4, 301)
-    grid = np.sort(np.asarray(grid, dtype=float))
-    if grid.size < 1 or not (np.isfinite(grid).all() and grid[0] > 0.0):
-        raise ConfigError("grid must be a nonempty list of positive finite values")
 
     deviations = np.empty(trials)
     for t in range(trials):
@@ -275,14 +267,14 @@ def calibrate_c(
 
     k = next(k for k in range(1, trials + 1) if k / trials >= quantile)
     kth = np.sort(deviations)[k - 1]
-    i = int(np.searchsorted([thresh(gamma, c) for c in grid], kth))
-    if i == grid.size:
+    i = int(np.searchsorted([thresh(gamma, c) for c in _C_GRID], kth))
+    if i == _C_GRID.size:
         warnings.warn(
             f"requested quantile {quantile} unreachable on the calibration grid; "
-            f"returning grid maximum {grid[-1]}"
+            f"returning grid maximum {_C_GRID[-1]}"
         )
-        return float(grid[-1])
-    return float(grid[i])
+        return float(_C_GRID[-1])
+    return float(_C_GRID[i])
 
 
 def _iqr(values: list[float]) -> float:
@@ -412,7 +404,7 @@ def aggregate_to_csv(rows: list[AggregateRow]) -> str:
 _LIST_KEYS = {"n_values", "d_values"}
 _FLOAT_KEYS = {"gamma", "epsilon", "tau", "c_thresh", "winsorize_range_bound", "adversary_magnitude"}
 _INT_KEYS = {"trials", "base_seed"}
-_BOOL_KEYS = {"corrupt_all", "fixed_count_corruption"}
+_BOOL_KEYS = {"fixed_count_corruption"}
 _KNOWN_KEYS = (
     _LIST_KEYS | _FLOAT_KEYS | _INT_KEYS | _BOOL_KEYS | {"methods", "adversary"}
 )

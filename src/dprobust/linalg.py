@@ -101,24 +101,18 @@ def empirical_covariance(data, center) -> np.ndarray:
     return 0.5 * (cov + cov.T)
 
 
-def max_eigenpair(m) -> tuple[float, np.ndarray]:
-    """Algebraically largest eigenvalue of a symmetric matrix, with a unit
-    eigenvector.
+def _power_eigenpair(mat: np.ndarray, start=None, bound=math.inf, rebase=None) -> tuple[float, np.ndarray]:
+    """Algebraically largest eigenvalue of a finite, exactly symmetric mat,
+    which is not checked, with a unit eigenvector.
 
-    Power iteration from a fixed pseudo-random unit vector accepts the
-    iterate x once its Rayleigh quotient lam > 0 and
+    Power iteration from a fixed Philox-keyed pseudo-random unit vector
+    accepts the iterate x once its Rayleigh quotient lam > 0 and
     ||M x - lam x|| <= 1e-7 * max(1, lam). A step costs about 2 d^2 flops,
     so d steps cost about one np.linalg.eigh, which takes over (its
     failures raise LinAlgError) when they do not settle. It takes over
     sooner, as soon as the residual, shrunk by its last step's ratio for
     each step left of those d, would still miss the tolerance: a small
     spectral gap does not settle, and says so within a few steps.
-    """
-    return _power_eigenpair(as_sym_matrix(m))
-
-
-def _power_eigenpair(mat: np.ndarray, start=None, bound=math.inf, rebase=None) -> tuple[float, np.ndarray]:
-    """max_eigenpair of a finite, exactly symmetric mat, which is not checked.
 
     start, a unit vector such as the one returned for a nearby mat, replaces
     the fixed start and, like mat, is not checked. A pair (lam, x) settled

@@ -45,7 +45,6 @@ class NoiseSpec:
     """Per-coordinate Gaussian noise variance plus the seed that drives it."""
 
     variance: float
-    sensitivity: float
     seed: int
 
     def __post_init__(self):
@@ -69,7 +68,7 @@ def noise_scale(sensitivity: float, params: PrivacyParams, seed: int = 0) -> Noi
             stacklevel=2,
         )
     variance = 2.0 * math.log(1.25 / params.delta) * sensitivity**2 / params.epsilon**2
-    return NoiseSpec(variance=variance, sensitivity=sensitivity, seed=int(seed))
+    return NoiseSpec(variance=variance, seed=int(seed))
 
 
 def gaussian_stream(seed: int, count: int) -> np.ndarray:

@@ -114,7 +114,7 @@ def test_criterion_4_gaussian_mechanism_statistics():
     """20 suites of 1e5 draws at variance 4: at most one outside [3.92, 4.08]."""
     failures = 0
     for suite in range(20):
-        spec = dp.NoiseSpec(variance=4.0, sensitivity=1.0, seed=40_000 + suite)
+        spec = dp.NoiseSpec(variance=4.0, seed=40_000 + suite)
         draws = dp.add_gaussian_noise(np.zeros(100_000), spec)
         v = float(np.var(draws, ddof=1))
         failures += not (3.92 <= v <= 4.08)

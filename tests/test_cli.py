@@ -214,6 +214,7 @@ class TestExitCodes:
             b"n_values = 10\nd_values = 2\ngamma = 0.9\n",
             b"n_values = 10\nd_values = 2\n# \xff\n",
             b"n_values = 10\nd_values = 2\nwinsorize_alpha = 0.05\n",
+            b"n_values = 10\nd_values = 2\ncorrupt_all = false\n",
         ):
             cfg.write_bytes(body)
             assert run(["sweep", "--config", str(cfg), "--out", str(out)]) == 1

@@ -88,13 +88,14 @@ class TestCorrupt:
             assert out.shape == data.shape
 
     def test_directional_spread_direction(self):
-        data = sample_gaussian(500, 3, 0.0, seed=30)
-        direction = (0.0, 1.0, 0.0)
-        out, plan = corrupt(
-            data, 0.2, DirectionalSpread(magnitude=7.0, direction=direction), seed=31
-        )
-        planted = out[plan.replaced_indices]
-        assert np.allclose(planted[:, 1].mean(), 7.0, atol=0.2)
+        # Planted rows are mu_true + magnitude * e_1, spread by N(0, 0.1^2 I).
+        data = sample_gaussian(5000, 3, 0.0, seed=30)
+        mu = np.array([1.0, -2.0, 0.5])
+        out, plan = corrupt(data, 0.2, DirectionalSpread(magnitude=7.0), seed=31, mu_true=mu)
+        spread = out[plan.replaced_indices] - (mu + [7.0, 0.0, 0.0])
+        assert plan.m_prime > 900
+        assert np.abs(spread.mean(axis=0)).max() <= 0.02
+        assert np.allclose(spread.std(axis=0), 0.1, rtol=0.1)
 
     def test_subtractive_shrinks_n(self):
         data = sample_gaussian(200, 2, 0.0, seed=40)

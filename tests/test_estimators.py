@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from dprobust import estimators
+from dprobust import estimators, filtering
 from dprobust.datagen import sample_gaussian
 from dprobust.estimators import (
     Method,
@@ -253,3 +253,39 @@ def test_epsilon_checked_before_filtering(monkeypatch, release):
     monkeypatch.setattr(estimators, "filter_gaussian_unknown_mean", fail)
     with pytest.raises(ValueError, match="epsilon"):
         release()
+
+
+RELEASES = {
+    "dp_robust": lambda data: dp_robust_mean(data, CFG, 1.0, 0),
+    "dp_plain": lambda data: dp_mean(data, 0.05, 1.0, 1.0, 0),
+    "dp_winsorized": lambda data: dp_winsorized_mean(data, WinsorizeConfig(), PrivacyParams(1.0, 0.05), 0),
+}
+
+
+@pytest.mark.parametrize("method", RELEASES)
+def test_each_release_validates_its_data_once(monkeypatch, method):
+    scans = []
+    for module in (estimators, filtering):
+        check = module.as_dataset
+        monkeypatch.setattr(module, "as_dataset", lambda data, _check=check: scans.append(1) or _check(data))
+    RELEASES[method](clean_data())
+    assert len(scans) == 1
+
+
+@pytest.mark.parametrize("method", RELEASES)
+@pytest.mark.parametrize(
+    "data",
+    [
+        [[1.0, float("nan")]] * 5,
+        [[1.0, float("inf")]] * 5,
+        np.zeros((5, 2, 2)),
+        np.zeros((0, 2)),
+        np.zeros((5, 0)),
+        3.0,
+        [["a", "b"]] * 5,
+    ],
+    ids=["nan", "inf", "3d", "no_rows", "no_columns", "scalar", "text"],
+)
+def test_bad_data_is_a_value_error(method, data):
+    with pytest.raises(ValueError):
+        RELEASES[method](data)

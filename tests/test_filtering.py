@@ -34,6 +34,11 @@ from dprobust.datagen import ConstantCluster, DirectionalSpread, corrupt, sample
 pytestmark = pytest.mark.filterwarnings("ignore::dprobust.filtering.SampleSizeWarning")
 
 
+def survivors(data, out):
+    # The rows the filter kept, in their original order.
+    return np.delete(np.asarray(data, dtype=float), out.diagnostics.removed_indices, axis=0)
+
+
 def project(data, mu, v):
     return np.abs((np.asarray(data, dtype=float) - mu) @ v)
 
@@ -221,7 +226,7 @@ class TestFilterLoop:
             assert diag.final_spectral_deviation == pytest.approx(deviation, abs=1e-12)
             # The certificate is the cold solve on the survivors' two-pass
             # covariance, bit for bit.
-            sigma = empirical_covariance(out.surviving, out.mean)
+            sigma = empirical_covariance(survivors(data, out), out.mean)
             assert diag.final_spectral_deviation == spectral_deviation_pair(sigma)[0]
 
     # Each case runs about 200 removal rounds. The limits are the measured
@@ -284,7 +289,7 @@ class TestFilterLoop:
         assert out.diagnostics.terminated_by is Termination.CERTIFICATE
         assert out.diagnostics.iterations == 0
         assert np.array_equal(out.mean, data[0])
-        assert out.surviving.shape == data.shape
+        assert survivors(data, out).shape == data.shape
 
     def test_clean_gaussian_certificate(self):
         data = sample_gaussian(2000, 20, 0.0, seed=42)
@@ -310,14 +315,15 @@ class TestFilterLoop:
         out = filter_gaussian_unknown_mean(dirty, RobustConfig(gamma=0.05, c_thresh=1.0))
         diag = out.diagnostics
         if diag.terminated_by is Termination.CERTIFICATE:
-            cov = empirical_covariance(out.surviving, empirical_mean(out.surviving))
+            kept = survivors(dirty, out)
+            cov = empirical_covariance(kept, empirical_mean(kept))
             assert spectral_deviation_pair(cov)[0] <= diag.threshold + 1e-9
 
     def test_mean_matches_survivors(self):
         clean = sample_gaussian(900, 6, 0.0, seed=3)
         dirty, _ = corrupt(clean, 0.05, ConstantCluster(offset=7.0), seed=4)
         out = filter_gaussian_unknown_mean(dirty, RobustConfig(gamma=0.05, c_thresh=1.0))
-        assert np.max(np.abs(out.mean - empirical_mean(out.surviving))) <= 1e-12
+        assert np.max(np.abs(out.mean - empirical_mean(survivors(dirty, out)))) <= 1e-12
 
     def test_diagnostics_accounting(self):
         clean = sample_gaussian(800, 5, 0.0, seed=13)
@@ -327,11 +333,11 @@ class TestFilterLoop:
         diag = out.diagnostics
         assert diag.iterations <= n
         assert len(diag.removed_indices) == len(set(diag.removed_indices))
-        assert len(diag.removed_indices) + out.surviving.shape[0] == n
+        assert len(diag.removed_indices) + survivors(dirty, out).shape[0] == n
         # Strict shrinkage: every removal round drops at least one row.
         assert len(diag.removed_indices) >= diag.iterations >= 1
         floor = max(2, math.ceil((1.0 - 2.0 * 0.06) * n))
-        assert out.surviving.shape[0] >= floor
+        assert survivors(dirty, out).shape[0] >= floor
 
     def test_permutation_equivariance(self):
         clean = sample_gaussian(600, 4, 0.0, seed=29)
@@ -341,8 +347,8 @@ class TestFilterLoop:
         rng = np.random.default_rng(31)
         perm = rng.permutation(dirty.shape[0])
         out_b = filter_gaussian_unknown_mean(dirty[perm], cfg)
-        multiset_a = Counter(row.tobytes() for row in out_a.surviving)
-        multiset_b = Counter(row.tobytes() for row in out_b.surviving)
+        multiset_a = Counter(row.tobytes() for row in survivors(dirty, out_a))
+        multiset_b = Counter(row.tobytes() for row in survivors(dirty[perm], out_b))
         assert multiset_a == multiset_b
         assert np.max(np.abs(out_a.mean - out_b.mean)) <= 1e-10
 
@@ -368,7 +374,7 @@ class TestFilterLoop:
         out = filter_gaussian_unknown_mean(data, RobustConfig(gamma=0.2, c_thresh=1.0))
         diag = out.diagnostics
         assert diag.terminated_by is Termination.FALLBACK_EXHAUSTED
-        assert out.surviving.shape[0] >= max(2, math.ceil(0.6 * 100))
+        assert survivors(data, out).shape[0] >= max(2, math.ceil(0.6 * 100))
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_non_finite_moments_rejected(self):

@@ -28,6 +28,8 @@ from dprobust.linalg import empirical_covariance, empirical_mean, spectral_devia
 from dprobust.privacy import PrivacyParams, noise_scale
 from dprobust.sensitivity import single_point_bound
 
+GRID = np.logspace(-2, 4, 301)  # the constants calibrate_c chooses from
+
 BASIC_CONFIG = """
 # minimal sweep
 n_values = 120
@@ -186,21 +188,28 @@ class TestRunSweep:
             assert rec.c_thresh == calibrate_c(rec.n, rec.d, config.gamma, trials=30, seed=config.base_seed)
         assert records[0].c_thresh != records[1].c_thresh
 
-    def test_corrupt_all_flag_feeds_winsorized_corrupted_input(self):
-        base = dict(
-            n_values=(400,),
-            d_values=(2,),
-            gamma=0.2,
-            trials=1,
-            base_seed=5,
-            methods=(Method.DP_WINSORIZED,),
-            adversary=ConstantCluster(offset=9.0),
-            fixed_count_corruption=True,
+    def test_only_dp_robust_sees_corrupted_input(self, monkeypatch):
+        seen = {}
+
+        def recorded(name, release):
+            def run(data, *args, **kwargs):
+                seen[name] = data
+                return release(data, *args, **kwargs)
+            return run
+
+        for name in ("dp_robust_mean", "dp_mean", "dp_winsorized_mean"):
+            monkeypatch.setattr(harness, name, recorded(name, getattr(harness, name)))
+        config = ExperimentConfig(
+            n_values=(400,), d_values=(2,), gamma=0.2, base_seed=5,
+            adversary=ConstantCluster(offset=9.0), fixed_count_corruption=True,
         )
-        clean_run = run_sweep(ExperimentConfig(**base, corrupt_all=False))[0]
-        dirty_run = run_sweep(ExperimentConfig(**base, corrupt_all=True))[0]
-        # Same seeds throughout; only the input data differs.
-        assert dirty_run.robust_l2_error > clean_run.robust_l2_error + 0.5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_sweep(config)
+        clean = sample_gaussian(400, 2, 0.0, seed=derive_seed(5, "data", 400, 2, 0))
+        assert np.array_equal(seen["dp_mean"], clean)
+        assert np.array_equal(seen["dp_winsorized_mean"], clean)
+        assert np.sum((seen["dp_robust_mean"] != clean).any(axis=1)) == 80
 
 
 class TestCalibrateC:
@@ -214,50 +223,51 @@ class TestCalibrateC:
         assert c_large <= c_small
 
     def test_at_least_grid_minimum(self):
-        grid = np.array([0.5, 1.0, 2.0])
-        c = calibrate_c(n=5000, d=2, gamma=0.3, quantile=0.9, trials=10, seed=6, grid=grid)
-        assert c >= 0.5
+        c = calibrate_c(n=5000, d=2, gamma=0.3, quantile=0.9, trials=10, seed=6)
+        assert c >= 0.01 and c in GRID
 
     def test_unreachable_quantile_warns(self):
-        grid = np.array([1e-6, 2e-6])
+        # Three rows in d = 300 deviate by about d / 3, above even
+        # thresh(0.001, 1e4), about 69.
         with pytest.warns(UserWarning, match="unreachable"):
-            c = calibrate_c(n=100, d=8, gamma=0.1, quantile=0.95, trials=10, seed=7, grid=grid)
-        assert c == pytest.approx(2e-6)
+            c = calibrate_c(n=3, d=300, gamma=0.001, quantile=0.95, trials=10, seed=7)
+        assert c == GRID[-1] == pytest.approx(1e4)
 
     def test_quantile_domain(self):
         with pytest.raises(ValueError):
             calibrate_c(n=100, d=2, gamma=0.1, quantile=0.4, trials=5, seed=0)
 
     @pytest.mark.parametrize(
-        "n,d,gamma,quantile,trials,seed,grid",
+        "n,d,gamma,quantile,trials,seed",
         [
-            (300, 6, 0.1, 0.95, 20, 4, None),  # k / trials = 19 / 20 meets 0.95 exactly
-            (200, 3, 0.25, 0.9, 7, 11, None),
-            (50, 20, 0.01, 0.99, 1, 3, None),
-            (400, 5, 0.1, 0.6, 13, 8, [4.0, 0.5, 1.0, 2.0, 1.0, 8.0]),
-            (100, 8, 0.1, 0.95, 10, 7, [1e-6, 2e-6]),  # no grid C passes
+            (300, 6, 0.1, 0.95, 20, 4),  # k / trials = 19 / 20 meets 0.95 exactly
+            (200, 3, 0.25, 0.9, 7, 11),
+            (50, 20, 0.01, 0.99, 1, 3),
+            (400, 5, 0.1, 0.6, 13, 8),
+            (100, 8, 0.1, 0.95, 10, 7),
+            (3, 300, 0.001, 0.95, 5, 7),  # no grid C passes
         ],
     )
-    def test_matches_linear_scan(self, n, d, gamma, quantile, trials, seed, grid):
+    def test_matches_linear_scan(self, n, d, gamma, quantile, trials, seed):
         deviations = []
         for t in range(trials):
             data = sample_gaussian(n, d, 0.0, seed=derive_seed(seed, "calibrate", n, d, t))
             deviations.append(spectral_deviation_pair(empirical_covariance(data, empirical_mean(data)))[0])
-        scan = np.sort(np.logspace(-2, 4, 301) if grid is None else grid)
-        passing = [c for c in scan if np.mean(np.array(deviations) <= thresh(gamma, c)) >= quantile]
+        passing = [c for c in GRID if np.mean(np.array(deviations) <= thresh(gamma, c)) >= quantile]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            c = calibrate_c(n, d, gamma, quantile, trials, seed, grid=grid)
+            c = calibrate_c(n, d, gamma, quantile, trials, seed)
         if passing:
             assert c == passing[0] and not caught
         else:
-            assert c == scan[-1]
+            assert c == GRID[-1]
             assert any("unreachable" in str(w.message) for w in caught)
 
     @pytest.mark.parametrize(
         "bad",
         [{"gamma": 0.6}, {"gamma": float("nan")}, {"n": 1}, {"d": 0}, {"quantile": 1.0}, {"trials": 0}]
-        + [{"grid": grid} for grid in ([], [1.0, float("nan")], [0.0, 1e4], [-1.0, 1.0], [1.0, float("inf")])],
+        # The open ends of each range.
+        + [{"gamma": 0.0}, {"gamma": 0.5}, {"quantile": 0.5}, {"quantile": float("nan")}, {"trials": -1}],
     )
     def test_arguments_checked_before_sampling(self, monkeypatch, bad):
         def no_sampling(*args, **kwargs):
@@ -341,7 +351,6 @@ class TestConfigParsing:
         winsorize_range_bound = 5.0
         adversary = directional_spread
         adversary_magnitude = 12.0
-        corrupt_all = true
         fixed_count_corruption = true
         """
         config = parse_config_text(text)
@@ -353,11 +362,12 @@ class TestConfigParsing:
         assert config.methods == (Method.DP_ROBUST, Method.DP_WINSORIZED)
         assert config.winsorize.range_bound == 5.0
         assert config.adversary.magnitude == 12.0
-        assert config.corrupt_all and config.fixed_count_corruption
+        assert config.fixed_count_corruption
 
     def test_unknown_key(self):
-        # winsorize_alpha set a trim level that the winsorized baseline no longer has.
-        for line in ("bogus = 1", "winsorize_alpha = 0.05"):
+        # winsorize_alpha set a trim level that the winsorized baseline no
+        # longer has; corrupt_all fed corrupted input to every method.
+        for line in ("bogus = 1", "winsorize_alpha = 0.05", "corrupt_all = false"):
             with pytest.raises(ConfigError, match="unknown key"):
                 parse_config_text(f"n_values = 10\nd_values = 2\n{line}\n")
 

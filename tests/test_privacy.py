@@ -79,7 +79,7 @@ class TestNoiseScale:
     def test_noise_spec_consistency(self):
         params = PrivacyParams(0.7, 0.02)
         spec = noise_scale(1.3, params, seed=11)
-        expected = 2.0 * math.log(1.25 / params.delta) * spec.sensitivity**2 / params.epsilon**2
+        expected = 2.0 * math.log(1.25 / params.delta) * 1.3**2 / params.epsilon**2
         assert spec.variance == pytest.approx(expected, rel=1e-12)
         assert spec.seed == 11
 
@@ -87,24 +87,24 @@ class TestNoiseScale:
 class TestAddGaussianNoise:
     def test_zero_variance_is_identity(self):
         v = np.array([1.0, -2.5, 3.25])
-        out = add_gaussian_noise(v, NoiseSpec(variance=0.0, sensitivity=0.0, seed=4))
+        out = add_gaussian_noise(v, NoiseSpec(variance=0.0, seed=4))
         assert np.array_equal(out, v)
 
     def test_deterministic_per_seed(self):
         v = np.linspace(-1, 1, 7)
-        spec = NoiseSpec(variance=2.0, sensitivity=1.0, seed=123)
+        spec = NoiseSpec(variance=2.0, seed=123)
         assert np.array_equal(add_gaussian_noise(v, spec), add_gaussian_noise(v, spec))
 
     def test_sample_variance_in_band(self):
         draws = add_gaussian_noise(
-            np.zeros(100_000), NoiseSpec(variance=4.0, sensitivity=1.0, seed=2024)
+            np.zeros(100_000), NoiseSpec(variance=4.0, seed=2024)
         )
         assert 3.92 <= float(np.var(draws, ddof=1)) <= 4.08
 
     def test_sample_mean_near_zero(self):
         n = 100_000
         draws = add_gaussian_noise(
-            np.zeros(n), NoiseSpec(variance=4.0, sensitivity=1.0, seed=77)
+            np.zeros(n), NoiseSpec(variance=4.0, seed=77)
         )
         assert abs(float(draws.mean())) <= 4.0 * 2.0 / math.sqrt(n)
 
@@ -112,13 +112,13 @@ class TestAddGaussianNoise:
         v = np.zeros(8)
         seen = set()
         for seed in range(1000):
-            out = add_gaussian_noise(v, NoiseSpec(variance=1.0, sensitivity=1.0, seed=seed))
+            out = add_gaussian_noise(v, NoiseSpec(variance=1.0, seed=seed))
             seen.add(out.tobytes())
         assert len(seen) == 1000
 
     def test_rejects_non_finite_input(self):
         with pytest.raises(ValueError):
-            add_gaussian_noise([float("inf")], NoiseSpec(variance=1.0, sensitivity=1.0, seed=0))
+            add_gaussian_noise([float("inf")], NoiseSpec(variance=1.0, seed=0))
 
 
 class TestGaussianStream:
