@@ -238,8 +238,10 @@ def save_dataset_csv(data, path) -> None:
     """Write an (n, d) dataset as headerless CSV with round-trip decimals."""
     arr = as_dataset(data)
     with open(path, "w", encoding="ascii") as fh:
+        # One row at a time: a whole-array tolist() holds every entry as a
+        # Python float at once.
         for row in arr:
-            fh.write(",".join(repr(float(x)) for x in row))
+            fh.write(",".join(map(repr, row.tolist())))
             fh.write("\n")
 
 

@@ -16,24 +16,35 @@ floor always cut the set to its largest projection, and a one-row tail set
 is that row; the rule has no options and no constants.
 
 A round costs O(d^2) for the removed row plus one O(n d) projection: the
-loop keeps the sums of y = x - anchor and of y y^T over the survivors and
+loop keeps s1 = sum (x - anchor) and s2 = sum (x - anchor)(x - anchor)^T
+over the survivors, anchored at the survivor mean of the last rebuild,
 subtracts each removed row from them, marks it in a mask over all n rows,
 and warm-starts the top eigenpair of a removal round from the previous
 round's direction. A warm pair (lam, x) with residual at most tol is the
 top one when lam - 2 tol exceeds a bound on the second eigenvalue lambda_2
-of sigma - I. The loop keeps lambda_2 and the survivor count m_j from the
-solver's last full spectral call, and on m_k survivors bounds lambda_2 by
-rho lambda_2 + rho - 1 with rho = m_j / m_k (the linalg module gives the
-argument), so a warm pair is kept without a factorization; lambda_2 is
-computed afresh only when that bound is too loose.
+of sigma - I. For M = cov(S) - I over a survivor set S of m rows, S_k
+within S_j and rho = m_j / m_k,
 
-Downdated sums drift by rounding, so a certificate is only
-accepted on moments rebuilt two-pass from the survivors, bit-identical to
-empirical_covariance, and solved from the cold start; the noise
-calibrated to the certificate bound rests on neither a downdate nor a
-warm start. No periodic rebuild is made: on no known input does the
-drift change a termination or which rows are removed, so a rebuild
-schedule would be a constant with nothing to tune it against.
+    lambda_2(M_k) <= rho * lambda_2(M_j) + rho - 1.
+
+Centring S_k at its own mean minimises its second moment, and the rows of
+S_j that S_k drops add positive semidefinite terms, so m_k cov(S_k) <=
+m_j cov(S_j), that is M_k <= rho M_j + (rho - 1) I; Weyl's monotonicity
+gives the eigenvalue bound. It depends only on the sets, so it holds
+across rebuilds. The loop keeps lambda_2 and m_j from the last removal
+round whose solve computed a spectrum, so a warm pair is kept without a
+factorization; lambda_2 is computed afresh only when that bound is too
+loose.
+
+The loop runs while the deviation exceeds the threshold. Downdated sums
+drift by rounding, so a removal round whose deviation falls to the
+threshold rebuilds the moments two-pass from the survivors, bit-identical
+to empirical_covariance, and solves them from the cold start. The loop
+ends on CERTIFICATE only after such a solve, so the noise calibrated to
+the certificate bound rests on neither a downdate nor a warm start. No
+periodic rebuild is made: on no known input does the drift change a
+termination or which rows are removed, so a rebuild schedule would be a
+constant with nothing to tune it against.
 
 Validation happens once per kind of input: the data on entry (finite,
 (n, d)), and every set of exact moments (round 0 and each rebuild) in
@@ -123,59 +134,34 @@ def filter_gaussian_unknown_mean(data, cfg: RobustConfig) -> FilterOutcome:
     threshold = thresh(cfg.gamma, cfg.c_thresh)
     floor = max(2, math.ceil((1.0 - 2.0 * cfg.gamma) * n))
 
-    # Survivor moments are held as s1 = sum y and s2 = sum y y^T with
-    # y = arr - anchor, downdated by each removed row. Each rebuild
-    # re-anchors at the survivor mean, where s1 is 0 and sigma comes from
-    # empirical_covariance itself; y is dropped first, so at most three
-    # (n, d) arrays are alive.
+    # Exact moments of the survivors, re-anchored at their mean (where s1 is
+    # 0 and sigma comes from empirical_covariance itself), validated and
+    # solved from the cold start.
     def rebuild():
         subset = arr[~dead]
         anchor = subset.mean(axis=0)
         sigma = empirical_covariance(subset, anchor)
-        return arr - anchor, np.zeros(d), m * sigma, sigma
-
-    # (lambda_2 of sigma - I, survivors) at the solver's last full spectral
-    # call; none has been made yet, so the first bound is infinite.
-    second = (math.inf, n)
-
-    def rebase(value):
-        nonlocal second
-        second = (value, m)
+        return anchor, np.zeros(d), m * sigma, *spectral_deviation_pair(sigma)
 
     dead = np.zeros(n, dtype=bool)
     m = n
-    y, s1, s2, sigma = rebuild()
-    exact = True
+    anchor, s1, s2, deviation, direction = rebuild()
+    # lambda_2 of sigma - I and the survivor count at the last spectrum a
+    # removal round computed; there is none yet, so the first bound is inf.
+    lam2, m2 = math.inf, n
     removed: list[int] = []
-    while True:
-        if exact:
-            # Exact moments are validated and solved from the cold start, so
-            # a certificate rests on the same solve as without the warm start.
-            deviation, direction = spectral_deviation_pair(sigma)
-        else:
-            rho = second[1] / m
-            value, direction = _power_eigenpair(sigma_minus_identity, direction, rho * second[0] + rho - 1.0, rebase)
-            deviation = max(0.0, value)
-
-        if deviation <= threshold:
-            if exact:
-                term = Termination.CERTIFICATE
-                break
-            del y
-            y, s1, s2, sigma = rebuild()
-            exact = True
-            continue
-
+    term = Termination.CERTIFICATE
+    while deviation > threshold:
         if m - 1 < floor:
             term = Termination.FALLBACK_EXHAUSTED
             break
         # Dead rows read -1, below every |projection|; the argmax breaks ties
         # to the lowest surviving index.
-        proj = np.abs(y @ direction - (s1 / m) @ direction)
+        proj = np.abs(arr @ direction - (anchor + s1 / m) @ direction)
         proj[dead] = -1.0
         i = int(np.argmax(proj))
 
-        row = y[i]
+        row = arr[i] - anchor
         s1 -= row
         # A one-row outer product is exactly symmetric, so s2 and sigma - I
         # stay exactly symmetric.
@@ -187,7 +173,14 @@ def filter_gaussian_unknown_mean(data, cfg: RobustConfig) -> FilterOutcome:
         sigma_minus_identity = s2 / m
         sigma_minus_identity -= np.outer(shift, shift)
         sigma_minus_identity.flat[:: d + 1] -= 1.0
-        exact = False
+
+        rho = m2 / m
+        value, direction, second = _power_eigenpair(sigma_minus_identity, direction, rho * lam2 + rho - 1.0)
+        if second is not None:
+            lam2, m2 = second, m
+        deviation = max(0.0, value)
+        if deviation <= threshold:
+            anchor, s1, s2, deviation, direction = rebuild()
 
     diagnostics = FilterDiagnostics(
         iterations=len(removed),

@@ -9,22 +9,10 @@ planted cluster produces in a few steps, with a dense eigendecomposition
 taking over once the residual's measured contraction shows that it cannot
 settle within d steps. The public functions validate their matrix; the
 filter loop, which solves a sequence of nearby matrices it builds itself
-from validated rows, calls _power_eigenpair directly and may start it
-from the previous direction.
-
-A pair settled from such a start may be a lower eigenpair, so it is only
-returned when an upper bound on the second-largest eigenvalue lambda_2
-shows that it is the top one. The filter carries that bound between
-rounds. For M = cov(S) - I over a survivor set S of m rows, S_k within
-S_j and rho = m_j / m_k,
-
-    lambda_2(M_k) <= rho * lambda_2(M_j) + rho - 1.
-
-Centring S_k at its own mean minimises its second moment, and the rows of
-S_j that S_k drops add positive semidefinite terms, so m_k cov(S_k) <=
-m_j cov(S_j), that is M_k <= rho M_j + (rho - 1) I; Weyl's monotonicity
-gives the eigenvalue bound. It depends only on the sets, so it holds
-across the loop's rebuilds.
+from validated rows, calls _power_eigenpair directly with the previous
+direction as its start and an upper bound on the second-largest
+eigenvalue lambda_2, and reads back lambda_2 whenever the solver computed
+a spectrum.
 """
 
 from __future__ import annotations
@@ -101,9 +89,10 @@ def empirical_covariance(data, center) -> np.ndarray:
     return 0.5 * (cov + cov.T)
 
 
-def _power_eigenpair(mat: np.ndarray, start=None, bound=math.inf, rebase=None) -> tuple[float, np.ndarray]:
+def _power_eigenpair(mat: np.ndarray, start=None, bound=math.inf) -> tuple[float, np.ndarray, float | None]:
     """Algebraically largest eigenvalue of a finite, exactly symmetric mat,
-    which is not checked, with a unit eigenvector.
+    which is not checked, with a unit eigenvector and, when the solve
+    computed a spectrum, the second-largest eigenvalue lambda_2.
 
     Power iteration from a fixed Philox-keyed pseudo-random unit vector
     accepts the iterate x once its Rayleigh quotient lam > 0 and
@@ -123,8 +112,11 @@ def _power_eigenpair(mat: np.ndarray, start=None, bound=math.inf, rebase=None) -
     downdated mat from the exact moments the bound is argued for. When the
     bound (by default none) is too loose, lambda_2 comes from
     np.linalg.eigvalsh and the pair is tested once more; a pair that fails
-    goes to np.linalg.eigh. rebase, when given, receives lambda_2 (-inf
-    when d = 1) from each np.linalg.eigvalsh or np.linalg.eigh call made.
+    goes to np.linalg.eigh.
+
+    Returns (lam, x, second): second is lambda_2 (-inf when d = 1) from the
+    last np.linalg.eigvalsh or np.linalg.eigh call the solve made, and None
+    when it made neither.
     """
     d = mat.shape[0]
     if start is None:
@@ -140,15 +132,13 @@ def _power_eigenpair(mat: np.ndarray, start=None, bound=math.inf, rebase=None) -
         r = y - lam * x
         res = math.sqrt(r @ r)
         if lam > 0.0 and res <= tol:
-            if start is None:  # a component along every eigenvector
-                return lam, x
-            # A warm start can settle on a lower eigenvector (one it already is).
-            if lam - 2.0 * tol <= bound:
-                bound = float(np.linalg.eigvalsh(mat)[:-1].max(initial=-math.inf))
-                if rebase is not None:
-                    rebase(bound)
-            if lam - 2.0 * tol > bound:
-                return lam, x
+            # The cold start has a component along every eigenvector; a warm
+            # start can settle on a lower eigenvector (one it already is).
+            if start is None or lam - 2.0 * tol > bound:
+                return lam, x, None
+            second = float(np.linalg.eigvalsh(mat)[:-1].max(initial=-math.inf))
+            if lam - 2.0 * tol > second:
+                return lam, x, second
             break
         # Past the start's transient, the residual shrinks by a ratio that
         # grows towards |lambda_2 / lambda_1|; at its last ratio, the steps
@@ -162,9 +152,7 @@ def _power_eigenpair(mat: np.ndarray, start=None, bound=math.inf, rebase=None) -
             break
         x = y / y_norm
     values, vectors = np.linalg.eigh(mat)
-    if rebase is not None:
-        rebase(float(values[:-1].max(initial=-math.inf)))
-    return float(values[-1]), vectors[:, -1]
+    return float(values[-1]), vectors[:, -1], float(values[:-1].max(initial=-math.inf))
 
 
 def spectral_deviation_pair(sigma) -> tuple[float, np.ndarray]:
@@ -175,7 +163,7 @@ def spectral_deviation_pair(sigma) -> tuple[float, np.ndarray]:
     threshold: only positive excess over the identity matters.
     """
     mat = as_sym_matrix(sigma)
-    value, vector = _power_eigenpair(mat - np.eye(mat.shape[0]))
+    value, vector, _ = _power_eigenpair(mat - np.eye(mat.shape[0]))
     return max(0.0, value), vector
 
 

@@ -257,9 +257,9 @@ class TestFilterLoop:
         make, cfg, _ending, _rounds = PARITY_CASES[case]
         slack = []
 
-        def solve(mat, start=None, bound=math.inf, rebase=None):
+        def solve(mat, start=None, bound=math.inf):
             slack.append(bound - np.linalg.eigvalsh(mat)[-2])
-            return _power_eigenpair(mat, start, bound, rebase)
+            return _power_eigenpair(mat, start, bound)
 
         monkeypatch.setattr(filtering, "_power_eigenpair", solve)
         filter_gaussian_unknown_mean(make(), cfg)

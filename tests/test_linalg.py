@@ -56,6 +56,23 @@ def random_symmetric(seed):
     return (m + m.T) / 2.0 - 1.5 * np.eye(5)  # often negative-dominant
 
 
+def planted_gap():
+    # sigma - I of data with a planted shift along e1: a wide spectral gap.
+    data = np.random.default_rng(8).normal(size=(400, 8))
+    data[:40, 0] += 6.0
+    return empirical_covariance(data, empirical_mean(data)) - np.eye(8)
+
+
+def small_gap(d, seed=41):
+    # A top gap of 1e-9 over the rest of the spectrum in [0.9, 0.99], which
+    # the power iteration cannot settle within d steps.
+    rng = np.random.default_rng(seed)
+    eigs = np.concatenate([rng.uniform(0.9, 0.99, size=d - 2), [1.0 - 1e-9, 1.0]])
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    m = q @ np.diag(eigs) @ q.T
+    return (m + m.T) / 2.0
+
+
 class TestEmpiricalMean:
     def test_single_point(self):
         assert np.array_equal(empirical_mean([[3.0, -1.0]]), np.array([3.0, -1.0]))
@@ -135,7 +152,10 @@ class TestEmpiricalCovariance:
 
 
 class TestMaxEigenpair:
-    """The algebraically largest eigenpair from _power_eigenpair's cold start."""
+    """The algebraically largest eigenpair from _power_eigenpair's cold start.
+
+    The class keeps the name of the deleted function it first tested, so
+    that its test ids stay comparable across runs."""
 
     @pytest.mark.parametrize(
         "m",
@@ -158,7 +178,7 @@ class TestMaxEigenpair:
            "all_negative", "zero", "ones_not_top"],
     )
     def test_algebraic_maximum(self, m):
-        value, vector = _power_eigenpair(as_sym_matrix(m))
+        value, vector, _ = _power_eigenpair(as_sym_matrix(m))
         assert value == pytest.approx(oracle_top_eigenvalue(m), abs=1e-8)
         assert abs(np.linalg.norm(vector) - 1.0) <= 1e-9
         assert residual(m, value, vector) <= 1e-7 * max(1.0, abs(value))
@@ -168,15 +188,10 @@ class TestMaxEigenpair:
             spectral_deviation_pair(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_unsettled_iteration_hands_off_early(self, monkeypatch):
-        # A top gap of 1e-9 and the rest of the spectrum in [0.9, 0.99]: the
-        # residual contracts by about 0.95 a step, so d = 60 steps cannot
+        # The residual contracts by about 0.95 a step, so d = 60 steps cannot
         # reach 1e-7, which the first measured ratio already shows.
         d = 60
-        rng = np.random.default_rng(41)
-        eigs = np.concatenate([rng.uniform(0.9, 0.99, size=d - 2), [1.0 - 1e-9, 1.0]])
-        q, _ = np.linalg.qr(rng.normal(size=(d, d)))
-        m = q @ np.diag(eigs) @ q.T
-        m = (m + m.T) / 2.0
+        m = small_gap(d)
         values, vectors = np.linalg.eigh(m)
 
         class CountingMatrix(np.ndarray):
@@ -189,10 +204,11 @@ class TestMaxEigenpair:
         calls = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(counted.products) or eigh(*a, **k))
-        value, vector = _power_eigenpair(counted)
+        value, vector, second = _power_eigenpair(counted)
         assert calls and calls[0] < d
         assert value == float(values[-1])
         assert np.array_equal(vector, vectors[:, -1])
+        assert second == float(values[-2])
 
 
 class TestSpectralDeviation:
@@ -266,7 +282,7 @@ class TestSpectralDeviation:
         calls = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
-        value, vector = _power_eigenpair(m, start=vectors[:, -1])
+        value, vector, _ = _power_eigenpair(m, start=vectors[:, -1])
         assert calls == []
         assert np.array_equal(vector, vectors[:, -1])
         assert value == pytest.approx(values[-1], abs=1e-12)
@@ -277,7 +293,7 @@ class TestSpectralDeviation:
         # the top one: power iteration settles on it at once.
         m = self.START_CASES[case]
         values, vectors = np.linalg.eigh(m)
-        value, vector = _power_eigenpair(m, start=vectors[:, -2])
+        value, vector, _ = _power_eigenpair(m, start=vectors[:, -2])
         assert values[-2] > 0.0
         assert value == pytest.approx(values[-1], abs=1e-8)
         assert residual(m, value, vector) <= 1e-7 * max(1.0, value)
@@ -289,11 +305,10 @@ class TestSpectralDeviation:
         # itself: the solver computes lambda_2 afresh and hands off to eigh.
         m = self.START_CASES[case]
         values, vectors = np.linalg.eigh(m)
-        seen = []
-        value, vector = _power_eigenpair(m, vectors[:, -2], values[-2] + slack, seen.append)
+        value, vector, second = _power_eigenpair(m, vectors[:, -2], values[-2] + slack)
         assert value == pytest.approx(values[-1], abs=1e-8)
         assert residual(m, value, vector) <= 1e-7 * max(1.0, value)
-        assert seen and all(second == pytest.approx(values[-2], abs=1e-12) for second in seen)
+        assert second == pytest.approx(values[-2], abs=1e-12)
 
     @pytest.mark.parametrize("case", START_CASES)
     def test_top_start_under_bound_skips_spectral_calls(self, case, monkeypatch):
@@ -302,11 +317,44 @@ class TestSpectralDeviation:
         calls = []
         for name in ("eigvalsh", "eigh"):
             monkeypatch.setattr(np.linalg, name, lambda *a, _name=name, **k: calls.append(_name))
-        seen = []
-        value, vector = _power_eigenpair(m, vectors[:, -1], values[-2], seen.append)
-        assert calls == [] and seen == []
+        value, vector, second = _power_eigenpair(m, vectors[:, -1], values[-2])
+        assert calls == [] and second is None
         assert np.array_equal(vector, vectors[:, -1])
         assert value == pytest.approx(values[-1], abs=1e-12)
+
+    # (matrix, start, bound, whether the solve computes a spectrum); a start
+    # of k is the eigenvector of the k-th largest eigenvalue, and a bound of
+    # None is lambda_2 itself.
+    SECOND_CASES = {
+        "cold_planted_gap": (planted_gap(), None, math.inf, False),
+        "cold_small_gap": (small_gap(20), None, math.inf, True),
+        "cold_negative_1d": (np.array([[-1.0]]), None, math.inf, True),
+        "warm_top_no_bound": (START_CASES["shifted_random"], 1, math.inf, True),
+        "warm_top_1d": (np.array([[2.0]]), 1, math.inf, True),
+        "warm_top_under_bound": (START_CASES["shifted_random"], 1, None, False),
+        "warm_lower_start": (START_CASES["ones_not_top"], 2, None, True),
+    }
+
+    @pytest.mark.parametrize("case", SECOND_CASES)
+    def test_second_is_lambda_2_of_the_spectrum_computed(self, case, monkeypatch):
+        m, start, bound, computes = self.SECOND_CASES[case]
+        values, vectors = np.linalg.eigh(m)
+        lambda_2 = float(values[-2]) if m.shape[0] > 1 else -math.inf
+        calls = []
+        for name in ("eigvalsh", "eigh"):
+            solver = getattr(np.linalg, name)
+            monkeypatch.setattr(
+                np.linalg, name, lambda *a, _name=name, _solver=solver, **k: calls.append(_name) or _solver(*a, **k)
+            )
+        value, vector, second = _power_eigenpair(
+            m, None if start is None else vectors[:, -start], lambda_2 if bound is None else bound
+        )
+        assert bool(calls) is computes
+        if computes:
+            assert second == pytest.approx(lambda_2, abs=1e-12)
+        else:
+            assert second is None
+        assert value == pytest.approx(values[-1], abs=1e-8)
 
 
 class TestSpectralNorm:
