@@ -89,8 +89,9 @@ def sample_gaussian(n: int, d: int, mu=0.0, seed: int = 0) -> np.ndarray:
     if n < 1 or d < 1:
         raise ValueError("n and d must be at least 1")
     center = np.broadcast_to(np.asarray(mu, dtype=float), (d,)) if np.ndim(mu) == 0 else as_vector(mu, dim=d)
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal((n, d)) + center
+    out = np.random.default_rng(seed).standard_normal((n, d))
+    out += center
+    return out
 
 
 def corrupt(

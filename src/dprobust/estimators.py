@@ -28,7 +28,7 @@ from enum import Enum
 import numpy as np
 
 from .filtering import FilterDiagnostics, SampleSizeWarning, filter_gaussian_unknown_mean
-from .linalg import as_dataset
+from .linalg import _block_rows, as_dataset
 from .privacy import PrivacyParams, add_gaussian_noise, noise_scale
 from .sensitivity import (
     RobustConfig,
@@ -146,9 +146,26 @@ def dp_mean(
 def winsorized_mean(data, wcfg: WinsorizeConfig) -> np.ndarray:
     """Pre-noise winsorized mean: clamp every coordinate to [-R, R] and
     average. The clamp uses no statistic of the data, so one changed row
-    moves each coordinate of the mean by at most 2R/n."""
+    moves each coordinate of the mean by at most 2R/n.
+
+    The rows are clamped a block at a time (linalg's row-block rule) into
+    one buffer whose row 0 carries the running sum, so reducing the buffer
+    over axis 0 adds the rows one by one, in numpy's own order for an
+    axis-0 sum: for d >= 2 the result equals the mean of the whole clamped
+    array bit for bit.
+    """
     r = wcfg.range_bound
-    return np.clip(as_dataset(data), -r, r).mean(axis=0)
+    arr = as_dataset(data)
+    n, d = arr.shape
+    step = _block_rows(n, d)
+    buf = np.empty((step + 1, d))
+    np.clip(arr[0], -r, r, out=buf[0])
+    for s in range(1, n, step):
+        block = arr[s : s + step]
+        k = len(block) + 1
+        np.clip(block, -r, r, out=buf[1:k])
+        buf[0] = np.add.reduce(buf[:k], axis=0)
+    return buf[0] / n
 
 
 def dp_winsorized_mean(

@@ -46,6 +46,11 @@ periodic rebuild is made: on no known input does the drift change a
 termination or which rows are removed, so a rebuild schedule would be a
 constant with nothing to tune it against.
 
+The working set is the input, two n-vectors (the mask and the
+projections) and a few (d, d) moments. The survivors are copied out of the
+input only at a rebuild after removals, one copy at a time: round 0 reads
+the input itself, and the returned mean is a masked sum over it.
+
 Validation happens once per kind of input: the data on entry (finite,
 (n, d)), and every set of exact moments (round 0 and each rebuild) in
 spectral_deviation_pair, which rejects a covariance that overflowed to
@@ -106,6 +111,17 @@ def thresh(gamma: float, c_thresh: float) -> float:
     return c_thresh * gamma * math.log(1.0 / gamma)
 
 
+def _survivor_mean(arr: np.ndarray, dead: np.ndarray, m: int) -> np.ndarray:
+    """Mean of the m rows of arr not marked dead, without gathering them.
+
+    An axis-0 sum of a C-contiguous array with d >= 2 columns adds its rows
+    one by one in order, masked or not, so this equals arr[~dead].mean(axis=0)
+    bit for bit. An (m, 1) gather is summed pairwise instead, so at d = 1 the
+    two differ in the last bits.
+    """
+    return np.add.reduce(arr, axis=0, where=~dead[:, None]) / m
+
+
 def filter_gaussian_unknown_mean(data, cfg: RobustConfig) -> FilterOutcome:
     """Run the filter until the covariance certificate holds.
 
@@ -138,7 +154,7 @@ def filter_gaussian_unknown_mean(data, cfg: RobustConfig) -> FilterOutcome:
     # 0 and sigma comes from empirical_covariance itself), validated and
     # solved from the cold start.
     def rebuild():
-        subset = arr[~dead]
+        subset = arr if m == n else arr[~dead]
         anchor = subset.mean(axis=0)
         sigma = empirical_covariance(subset, anchor)
         return anchor, np.zeros(d), m * sigma, *spectral_deviation_pair(sigma)
@@ -189,5 +205,5 @@ def filter_gaussian_unknown_mean(data, cfg: RobustConfig) -> FilterOutcome:
         threshold=threshold,
         terminated_by=term,
     )
-    return FilterOutcome(mean=arr[~dead].mean(axis=0), diagnostics=diagnostics)
+    return FilterOutcome(mean=_survivor_mean(arr, dead, m), diagnostics=diagnostics)
 

@@ -13,6 +13,14 @@ from validated rows, calls _power_eigenpair directly with the previous
 direction as its start and an upper bound on the second-largest
 eigenvalue lambda_2, and reads back lambda_2 whenever the solver computed
 a spectrum.
+
+Nothing here makes a second (n, d) array from a float64 dataset.
+Validation reads its minimum and maximum, which propagate nan and expose
++-inf, rather than building a boolean mask of the data. The covariance
+sums block^T block over k = max(1, isqrt(n // d)) row blocks of
+ceil(n / k) rows, so its loop runs about sqrt(n / d) times and its
+scratch is a centred block, about sqrt(d / n) of the data, plus the
+(d, d) result.
 """
 
 from __future__ import annotations
@@ -29,6 +37,17 @@ _EIG_TOL = 1e-7  # relative residual that accepts a power-iteration eigenpair
 _START_KEY = 0xD1FE
 
 
+def _all_finite(arr: np.ndarray) -> bool:
+    """No nan or +-inf in arr, found without an arr-sized mask: min and max
+    propagate nan and are infinite when any entry is. Empty arrays pass."""
+    return arr.size == 0 or (math.isfinite(arr.min()) and math.isfinite(arr.max()))
+
+
+def _block_rows(n: int, d: int) -> int:
+    """Rows per block, ceil(n / k), of an (n, d) array streamed in k = max(1, isqrt(n // d)) blocks."""
+    return -(-n // max(1, math.isqrt(n // d)))
+
+
 def as_dataset(data) -> np.ndarray:
     """Validate and return data as an (n, d) float64 array."""
     arr = np.asarray(data, dtype=float)
@@ -38,7 +57,7 @@ def as_dataset(data) -> np.ndarray:
         raise ValueError(f"dataset must be 2-dimensional, got shape {arr.shape}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ValueError("empty input")
-    if not np.isfinite(arr).all():
+    if not _all_finite(arr):
         raise ValueError("dataset contains non-finite entries")
     return arr
 
@@ -48,7 +67,7 @@ def as_vector(v, dim: int | None = None) -> np.ndarray:
     arr = np.asarray(v, dtype=float).reshape(-1)
     if arr.size < 1:
         raise ValueError("empty input")
-    if not np.isfinite(arr).all():
+    if not _all_finite(arr):
         raise ValueError("vector contains non-finite entries")
     if dim is not None and arr.size != dim:
         raise ValueError(f"dimension mismatch: expected {dim}, got {arr.size}")
@@ -60,7 +79,7 @@ def as_sym_matrix(m) -> np.ndarray:
     arr = np.asarray(m, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"matrix must be square, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
+    if not _all_finite(arr):
         raise ValueError("matrix contains non-finite entries")
     if np.max(np.abs(arr - arr.T), initial=0.0) > SYMMETRY_ATOL:
         raise ValueError("matrix is not symmetric within tolerance")
@@ -78,14 +97,25 @@ def empirical_covariance(data, center) -> np.ndarray:
 
     Normalization is 1/n, not 1/(n-1): the filter compares against
     population-style moment matrices. The result is exactly symmetrized.
+
+    The sum runs over k = max(1, isqrt(n // d)) blocks of ceil(n / k) rows,
+    each centred into a fresh block, so about sqrt(n / d) GEMMs each take
+    scratch about sqrt(d / n) of the data instead of one centred copy of
+    it. With k = 1 (n < 4 d) this is the one-GEMM formula itself; with more
+    blocks the sum is rounded in a different order.
     """
     arr = as_dataset(data)
     n, d = arr.shape
     if n < 2:
         raise ValueError("covariance requires at least 2 rows")
     c = as_vector(center, dim=d)
-    centered = arr - c
-    cov = centered.T @ centered / n
+    step = _block_rows(n, d)
+    block = arr[:step] - c
+    cov = block.T @ block
+    for s in range(step, n, step):
+        block = arr[s : s + step] - c
+        cov += block.T @ block
+    cov /= n
     return 0.5 * (cov + cov.T)
 
 
@@ -162,8 +192,9 @@ def spectral_deviation_pair(sigma) -> tuple[float, np.ndarray]:
     The value is what the filter compares against its termination
     threshold: only positive excess over the identity matters.
     """
-    mat = as_sym_matrix(sigma)
-    value, vector, _ = _power_eigenpair(mat - np.eye(mat.shape[0]))
+    mat = as_sym_matrix(sigma)  # a fresh array, so sigma is left as it was
+    mat.flat[:: mat.shape[0] + 1] -= 1.0
+    value, vector, _ = _power_eigenpair(mat)
     return max(0.0, value), vector
 
 

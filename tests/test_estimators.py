@@ -161,6 +161,20 @@ class TestDpWinsorizedMean:
         # most n * eps * R / 2 to first order, so two such means by n * eps * R.
         assert moved.max() <= 2.0 * r / n + n * np.finfo(float).eps * r
 
+    @given(
+        table=arrays(
+            float,
+            st.tuples(st.integers(2, 300), st.integers(2, 12)),
+            elements=st.floats(-1e4, 1e4) | st.sampled_from([0.0, -0.0, 1e-300]),
+        ),
+        r=st.floats(1e-3, 1e3),
+    )
+    def test_streamed_clamp_equals_clamped_mean(self, table, r):
+        # Blocks of clamped rows summed after a running-sum row add the rows
+        # in the order of one axis-0 sum over the whole clamped array.
+        wcfg = WinsorizeConfig(range_bound=r)
+        assert np.array_equal(winsorized_mean(table, wcfg), np.clip(table, -r, r).mean(axis=0))
+
     def test_clamping_example(self):
         data = np.array([[-100.0], [0.0], [100.0]])
         report = dp_winsorized_mean(

@@ -207,6 +207,19 @@ class TestSecondEigenvalueBound:
                 assert second <= rho * seconds[j] + rho - 1.0 + 1e-12
 
 
+class TestSurvivorMean:
+    @given(st.data(), st.integers(min_value=2, max_value=300), st.integers(min_value=2, max_value=12))
+    @settings(deadline=None)
+    def test_masked_sum_equals_mean_of_gathered_rows(self, data, n, d):
+        values = st.floats(min_value=-1e6, max_value=1e6) | st.sampled_from([0.0, -0.0, 1e-300])
+        arr = data.draw(arrays(np.float64, (n, d), elements=values))
+        dead = data.draw(arrays(np.bool_, n))
+        dead[data.draw(st.integers(min_value=0, max_value=n - 1))] = False
+        alive = ~dead
+        mean = filtering._survivor_mean(arr, dead, int(alive.sum()))
+        assert np.array_equal(mean, arr[alive].mean(axis=0))
+
+
 class TestFilterLoop:
     @pytest.mark.parametrize("case", PARITY_CASES)
     def test_matches_exact_moment_oracle(self, case):

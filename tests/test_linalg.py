@@ -15,9 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dprobust import linalg
 from dprobust.linalg import (
     _power_eigenpair,
+    as_dataset,
     as_sym_matrix,
+    as_vector,
     empirical_covariance,
     empirical_mean,
     spectral_deviation_pair,
@@ -71,6 +74,30 @@ def small_gap(d, seed=41):
     q, _ = np.linalg.qr(rng.normal(size=(d, d)))
     m = q @ np.diag(eigs) @ q.T
     return (m + m.T) / 2.0
+
+
+class TestValidation:
+    """The finite checks read the minimum and maximum, not an (n, d) mask."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_last_entry_rejected(self, bad):
+        data = np.zeros((50, 4))
+        data[-1, -1] = bad
+        with pytest.raises(ValueError, match="dataset contains non-finite entries"):
+            as_dataset(data)
+        with pytest.raises(ValueError, match="vector contains non-finite entries"):
+            as_vector(data[-1])
+        with pytest.raises(ValueError, match="matrix contains non-finite entries"):
+            as_sym_matrix(data[-4:])
+
+    def test_largest_finite_values_pass(self):
+        # A sum of these rows overflows; their minimum and maximum do not.
+        data = np.full((50, 4), 1e308)
+        assert np.array_equal(as_dataset(data), data)
+        assert np.array_equal(as_vector(data[0], dim=4), data[0])
+
+    def test_empty_matrix_passes(self):
+        assert as_sym_matrix(np.empty((0, 0))).shape == (0, 0)
 
 
 class TestEmpiricalMean:
@@ -140,6 +167,20 @@ class TestEmpiricalCovariance:
             v = rng.normal(size=4)
             v /= np.linalg.norm(v)
             assert v @ cov @ v >= -1e-10
+
+    # Blocks of the streamed sum: one at n = 2 and at n < 4 d; 11 blocks of
+    # 91 rows, the last of 90, at (1000, 7); 20 of 201, the last of 182, at
+    # (4001, 10); 44 blocks at (20000, 10).
+    @pytest.mark.parametrize("n, d", [(2, 1), (2, 5), (30, 100), (1000, 7), (4001, 10), (20000, 10)])
+    def test_streamed_sum_matches_one_gemm(self, n, d):
+        rng = np.random.default_rng(n + d)
+        data = 3.0 * rng.normal(size=(n, d)) + 1.0
+        center = data.mean(axis=0)
+        centered = data - center
+        gemm = centered.T @ centered / n
+        gemm = 0.5 * (gemm + gemm.T)
+        cov = empirical_covariance(data, center)
+        assert np.max(np.abs(cov - gemm)) <= 1e-12 * np.max(np.abs(gemm))
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(77)
@@ -212,6 +253,17 @@ class TestMaxEigenpair:
 
 
 class TestSpectralDeviation:
+    def test_identity_subtracted_in_place(self, monkeypatch):
+        # The solver gets sigma - I bit for bit, and the caller's sigma is
+        # left as it was.
+        seen = []
+        monkeypatch.setattr(linalg, "_power_eigenpair", lambda mat: seen.append(mat.copy()) or _power_eigenpair(mat))
+        sigma = random_symmetric(3) + 2.0 * np.eye(5)
+        before = sigma.copy()
+        spectral_deviation_pair(sigma)
+        assert np.array_equal(seen[0], as_sym_matrix(before) - np.eye(5))
+        assert np.array_equal(sigma, before)
+
     def test_identity_exact_zero(self):
         assert spectral_deviation_pair(np.eye(5))[0] == 0.0
 

@@ -1,0 +1,70 @@
+"""Memory of the release paths: each holds its (n, d) input plus scratch
+well under a second copy of it.
+
+Peaks are tracemalloc's, which counts numpy's array allocations, taken at
+(20000, 100) in units of the input's 8 n d bytes. A function that made one
+centred, clamped or gathered copy of its input would read at least 1.
+"""
+
+import tracemalloc
+import warnings
+
+import numpy as np
+import pytest
+
+from dprobust.datagen import sample_gaussian
+from dprobust.estimators import WinsorizeConfig, winsorized_mean
+from dprobust.filtering import SampleSizeWarning, Termination, filter_gaussian_unknown_mean
+from dprobust.linalg import empirical_covariance
+from dprobust.sensitivity import RobustConfig
+
+N, D = 20000, 100
+
+
+def peak(fn, *args):
+    """Largest traced allocation above the start while fn(*args) ran, in units of 8 N D bytes."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return (tracemalloc.get_traced_memory()[1] - start) / (8 * N * D)
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def clean():
+    return sample_gaussian(N, D, 0.0, seed=0)
+
+
+def test_filter_certifying_at_round_zero(clean):
+    # dp_robust's setting on clean data: the round-0 moments certify.
+    cfg = RobustConfig(gamma=0.1)
+    assert filter_gaussian_unknown_mean(clean, cfg).diagnostics.iterations == 0
+    assert peak(filter_gaussian_unknown_mean, clean, cfg) <= 0.5
+
+
+def test_filter_at_gamma_one_over_n(clean):
+    # dp_plain's setting: two removals, then the survivor floor.
+    cfg = RobustConfig(gamma=1.0 / N)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SampleSizeWarning)
+        diag = filter_gaussian_unknown_mean(clean, cfg).diagnostics
+        assert diag.terminated_by is Termination.FALLBACK_EXHAUSTED and diag.iterations == 2
+        assert peak(filter_gaussian_unknown_mean, clean, cfg) <= 0.5
+
+
+def test_winsorized_mean(clean):
+    assert peak(winsorized_mean, clean, WinsorizeConfig(range_bound=1.0)) <= 0.5
+
+
+def test_empirical_covariance(clean):
+    assert peak(empirical_covariance, clean, clean.mean(axis=0)) <= 0.5
+
+
+def test_sample_gaussian():
+    # The output itself is 1.
+    assert peak(sample_gaussian, N, D, 1.0, 0) <= 1.25
