@@ -88,7 +88,7 @@ def sample_gaussian(n: int, d: int, mu=0.0, seed: int = 0) -> np.ndarray:
     """n i.i.d. draws from N(mu, I_d), deterministic per seed."""
     if n < 1 or d < 1:
         raise ValueError("n and d must be at least 1")
-    center = np.broadcast_to(np.asarray(mu, dtype=float), (d,)) if np.ndim(mu) == 0 else as_vector(mu, dim=d)
+    center = as_vector(mu, dim=d)
     out = np.random.default_rng(seed).standard_normal((n, d))
     out += center
     return out
@@ -108,12 +108,18 @@ def corrupt(
     Draws m' ~ Binomial(n, gamma) (or round(gamma n) in fixed-count mode),
     picks m' row indices uniformly without replacement, and rewrites them
     per the adversary. gamma = 0 or adversary None returns an unchanged
-    copy with an empty plan.
+    copy with an empty plan. mu_true and the adversary's offset or
+    magnitude must be finite.
     """
     arr = as_dataset(data)
     n, d = arr.shape
+    center = as_vector(mu_true, dim=d)
     if not 0.0 <= gamma < 0.5:
         raise ValueError("gamma must lie in [0, 0.5)")
+    # ConstantCluster's offset or DirectionalSpread's magnitude; 0 for the rest.
+    shift = getattr(adversary, "offset", getattr(adversary, "magnitude", 0.0))
+    if not math.isfinite(shift):
+        raise ValueError(f"adversary offset or magnitude must be finite, got {shift!r}")
     if adversary is None or gamma == 0.0:
         return arr.copy(), CorruptionPlan(gamma=gamma, adversary=adversary)
 
@@ -122,7 +128,6 @@ def corrupt(
     if m_prime == 0:
         return arr.copy(), CorruptionPlan(gamma=gamma, adversary=adversary)
 
-    center = np.broadcast_to(np.asarray(mu_true, dtype=float), (d,)).astype(float)
     out = arr.copy()
 
     if isinstance(adversary, SubtractiveOnly):
@@ -139,11 +144,10 @@ def corrupt(
 
     indices = rng.choice(n, size=m_prime, replace=False)
     point = center.copy()
+    point[0] += shift
     if isinstance(adversary, ConstantCluster):
-        point[0] += adversary.offset
         out[indices] = point
     elif isinstance(adversary, DirectionalSpread):
-        point[0] += adversary.magnitude
         out[indices] = point + 0.1 * rng.standard_normal((m_prime, d))
     else:
         raise ValueError(f"unknown adversary {adversary!r}")
@@ -183,11 +187,13 @@ def goodness_check(
     """
     arr = as_dataset(data)
     n, d = arr.shape
-    mu = np.broadcast_to(np.asarray(mu_true, dtype=float), (d,)).astype(float)
+    mu = as_vector(mu_true, dim=d)
     if not 0.0 < gamma < 0.5:
         raise ValueError("gamma must lie in (0, 0.5)")
     if not 0.0 < tau < 1.0:
         raise ValueError("tau must lie in (0, 1)")
+    if n_directions < 1:
+        raise ValueError("n_directions must be at least 1")
 
     centered = arr - mu
 

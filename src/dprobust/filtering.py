@@ -31,20 +31,22 @@ Centring S_k at its own mean minimises its second moment, and the rows of
 S_j that S_k drops add positive semidefinite terms, so m_k cov(S_k) <=
 m_j cov(S_j), that is M_k <= rho M_j + (rho - 1) I; Weyl's monotonicity
 gives the eigenvalue bound. It depends only on the sets, so it holds
-across rebuilds. The loop keeps lambda_2 and m_j from the last removal
-round whose solve computed a spectrum, so a warm pair is kept without a
-factorization; lambda_2 is computed afresh only when that bound is too
-loose.
+across rebuilds. The loop keeps lambda_2 and m_j from the last solve that
+computed a spectrum: round 0, a rebuild, or a removal round that fell back
+to np.linalg.eigh. So a warm pair is kept without a factorization, and
+lambda_2 is computed afresh only when that bound is too loose.
 
-The loop runs while the deviation exceeds the threshold. Downdated sums
-drift by rounding, so a removal round whose deviation falls to the
-threshold rebuilds the moments two-pass from the survivors, bit-identical
-to empirical_covariance, and solves them from the cold start. The loop
-ends on CERTIFICATE only after such a solve, so the noise calibrated to
-the certificate bound rests on neither a downdate nor a warm start. No
-periodic rebuild is made: on no known input does the drift change a
-termination or which rows are removed, so a rebuild schedule would be a
-constant with nothing to tune it against.
+The loop runs while the deviation exceeds the threshold. Round 0 solves
+the input's exact moments with one np.linalg.eigh. Downdated sums drift
+by rounding, so a removal round whose deviation falls to the threshold
+rebuilds the moments two-pass from the survivors, bit-identical to
+empirical_covariance, and solves them with one np.linalg.eigh too. The
+loop ends on CERTIFICATE only after such a solve, so the certified
+deviation is the top eigenvalue of the survivors' exact sigma - I, and the
+noise calibrated to the certificate bound rests on neither a downdate nor
+a start vector. No periodic rebuild is made: on no known input does the
+drift change a termination or which rows are removed, so a rebuild
+schedule would be a constant with nothing to tune it against.
 
 The working set is the input, two n-vectors (the mask and the
 projections) and a few (d, d) moments. The survivors are copied out of the
@@ -152,19 +154,16 @@ def filter_gaussian_unknown_mean(data, cfg: RobustConfig) -> FilterOutcome:
 
     # Exact moments of the survivors, re-anchored at their mean (where s1 is
     # 0 and sigma comes from empirical_covariance itself), validated and
-    # solved from the cold start.
+    # solved with eigh, whose lambda_2 and m re-seed the carried bound.
     def rebuild():
         subset = arr if m == n else arr[~dead]
         anchor = subset.mean(axis=0)
         sigma = empirical_covariance(subset, anchor)
-        return anchor, np.zeros(d), m * sigma, *spectral_deviation_pair(sigma)
+        return anchor, np.zeros(d), m * sigma, *spectral_deviation_pair(sigma), m
 
     dead = np.zeros(n, dtype=bool)
     m = n
-    anchor, s1, s2, deviation, direction = rebuild()
-    # lambda_2 of sigma - I and the survivor count at the last spectrum a
-    # removal round computed; there is none yet, so the first bound is inf.
-    lam2, m2 = math.inf, n
+    anchor, s1, s2, deviation, direction, lam2, m2 = rebuild()
     removed: list[int] = []
     term = Termination.CERTIFICATE
     while deviation > threshold:
@@ -196,7 +195,7 @@ def filter_gaussian_unknown_mean(data, cfg: RobustConfig) -> FilterOutcome:
             lam2, m2 = second, m
         deviation = max(0.0, value)
         if deviation <= threshold:
-            anchor, s1, s2, deviation, direction = rebuild()
+            anchor, s1, s2, deviation, direction, lam2, m2 = rebuild()
 
     diagnostics = FilterDiagnostics(
         iterations=len(removed),

@@ -3,16 +3,16 @@
 Everything here operates on plain numpy arrays: a dataset is an (n, d)
 float array (one sample per row), a direction is a (d,) unit vector, and
 covariance-like matrices are exactly symmetrized (d, d) arrays. The only
-nontrivial numerics is the top eigenpair of a symmetric matrix: a
-deterministic power iteration, which settles the large spectral gaps a
-planted cluster produces in a few steps, with a dense eigendecomposition
-taking over once the residual's measured contraction shows that it cannot
-settle within d steps. The public functions validate their matrix; the
-filter loop, which solves a sequence of nearby matrices it builds itself
-from validated rows, calls _power_eigenpair directly with the previous
-direction as its start and an upper bound on the second-largest
-eigenvalue lambda_2, and reads back lambda_2 whenever the solver computed
-a spectrum.
+nontrivial numerics is the top eigenpair of a symmetric matrix.
+spectral_deviation_pair validates exact moments and solves them with one
+np.linalg.eigh, which also gives the second-largest eigenvalue lambda_2;
+every certificate the filter grants rests on such a solve. The filter
+loop's removal rounds, which solve a sequence of nearby matrices it builds
+itself from validated rows, call _power_eigenpair directly: a power
+iteration warm-started from the previous direction, which settles the
+large spectral gaps a planted cluster produces in a few steps and keeps
+its pair only when an upper bound on lambda_2 proves it is the top one,
+with np.linalg.eigh taking over otherwise.
 
 Nothing here makes a second (n, d) array from a float64 dataset.
 Validation reads its minimum and maximum, which propagate nan and expose
@@ -32,9 +32,6 @@ import numpy as np
 SYMMETRY_ATOL = 1e-10
 
 _EIG_TOL = 1e-7  # relative residual that accepts a power-iteration eigenpair
-# Philox key of the fixed pseudo-random start vector, which (unlike all-ones)
-# is no eigenvector of a structured matrix such as [[3, -1], [-1, 3]].
-_START_KEY = 0xD1FE
 
 
 def _all_finite(arr: np.ndarray) -> bool:
@@ -63,8 +60,12 @@ def as_dataset(data) -> np.ndarray:
 
 
 def as_vector(v, dim: int | None = None) -> np.ndarray:
-    """Validate and return v as a finite (d,) float64 vector."""
-    arr = np.asarray(v, dtype=float).reshape(-1)
+    """Validate and return v as a finite (d,) float64 vector; given dim, a
+    scalar v fills all dim coordinates."""
+    arr = np.asarray(v, dtype=float)
+    if arr.ndim == 0 and dim is not None:
+        arr = np.full(dim, arr)
+    arr = arr.reshape(-1)
     if arr.size < 1:
         raise ValueError("empty input")
     if not _all_finite(arr):
@@ -119,41 +120,34 @@ def empirical_covariance(data, center) -> np.ndarray:
     return 0.5 * (cov + cov.T)
 
 
-def _power_eigenpair(mat: np.ndarray, start=None, bound=math.inf) -> tuple[float, np.ndarray, float | None]:
+def _power_eigenpair(mat: np.ndarray, start: np.ndarray, bound: float) -> tuple[float, np.ndarray, float | None]:
     """Algebraically largest eigenvalue of a finite, exactly symmetric mat,
-    which is not checked, with a unit eigenvector and, when the solve
-    computed a spectrum, the second-largest eigenvalue lambda_2.
+    which is not checked, with a unit eigenvector and, when the solve fell
+    back to np.linalg.eigh, the second-largest eigenvalue lambda_2.
 
-    Power iteration from a fixed Philox-keyed pseudo-random unit vector
-    accepts the iterate x once its Rayleigh quotient lam > 0 and
-    ||M x - lam x|| <= 1e-7 * max(1, lam). A step costs about 2 d^2 flops,
-    so d steps cost about one np.linalg.eigh, which takes over (its
-    failures raise LinAlgError) when they do not settle. It takes over
-    sooner, as soon as the residual, shrunk by its last step's ratio for
-    each step left of those d, would still miss the tolerance: a small
-    spectral gap does not settle, and says so within a few steps.
+    Power iteration from start, a unit vector such as the one returned for
+    a nearby mat, which like mat is not checked. It settles the iterate x
+    once its Rayleigh quotient lam > 0 and ||M x - lam x|| <= tol =
+    1e-7 * max(1, lam). Then some eigenvalue lies within tol of lam; when
+    lam - 2 tol exceeds bound, an upper bound on lambda_2 of mat, that
+    eigenvalue is lambda_1, no eigenvalue lies above lam + tol, and the
+    pair is returned. The spare tol absorbs the rounding that separates the
+    filter's downdated mat from the exact moments the bound is argued for.
+    A settled pair that the bound does not prove is the top one goes to
+    np.linalg.eigh (its failures raise LinAlgError), since a start can
+    settle on a lower eigenvector (one it already is).
 
-    start, a unit vector such as the one returned for a nearby mat, replaces
-    the fixed start and, like mat, is not checked. A pair (lam, x) settled
-    from it has ||M x - lam x|| <= tol, so some eigenvalue lies within tol
-    of lam; when lam - 2 tol exceeds bound, an upper bound on lambda_2 of
-    mat, that eigenvalue is lambda_1, and no eigenvalue lies above lam +
-    tol. The spare tol absorbs the rounding that separates the filter's
-    downdated mat from the exact moments the bound is argued for. When the
-    bound (by default none) is too loose, lambda_2 comes from
-    np.linalg.eigvalsh and the pair is tested once more; a pair that fails
-    goes to np.linalg.eigh.
+    A step costs about 2 d^2 flops, so d steps cost about one eigh, which
+    takes over when they do not settle. It takes over sooner, as soon as
+    the residual, shrunk by its last step's ratio for each step left of
+    those d, would still miss the tolerance: a small spectral gap does not
+    settle, and says so within a few steps.
 
     Returns (lam, x, second): second is lambda_2 (-inf when d = 1) from the
-    last np.linalg.eigvalsh or np.linalg.eigh call the solve made, and None
-    when it made neither.
+    eigh call, and None when the power iteration's pair was kept.
     """
     d = mat.shape[0]
-    if start is None:
-        x = np.random.Generator(np.random.Philox(key=_START_KEY)).standard_normal(d)
-        x /= math.sqrt(x @ x)
-    else:
-        x = start
+    x = start
     res_prev = math.inf
     for left in range(d - 1, -1, -1):
         y = mat @ x
@@ -162,13 +156,8 @@ def _power_eigenpair(mat: np.ndarray, start=None, bound=math.inf) -> tuple[float
         r = y - lam * x
         res = math.sqrt(r @ r)
         if lam > 0.0 and res <= tol:
-            # The cold start has a component along every eigenvector; a warm
-            # start can settle on a lower eigenvector (one it already is).
-            if start is None or lam - 2.0 * tol > bound:
+            if lam - 2.0 * tol > bound:
                 return lam, x, None
-            second = float(np.linalg.eigvalsh(mat)[:-1].max(initial=-math.inf))
-            if lam - 2.0 * tol > second:
-                return lam, x, second
             break
         # Past the start's transient, the residual shrinks by a ratio that
         # grows towards |lambda_2 / lambda_1|; at its last ratio, the steps
@@ -185,17 +174,20 @@ def _power_eigenpair(mat: np.ndarray, start=None, bound=math.inf) -> tuple[float
     return float(values[-1]), vectors[:, -1], float(values[:-1].max(initial=-math.inf))
 
 
-def spectral_deviation_pair(sigma) -> tuple[float, np.ndarray]:
+def spectral_deviation_pair(sigma) -> tuple[float, np.ndarray, float]:
     """Largest eigenvalue of (sigma - I), clamped below at 0, with a unit
-    eigenvector.
+    eigenvector and the unclamped second-largest eigenvalue lambda_2 of
+    (sigma - I) (-inf when d = 1), from one np.linalg.eigh.
 
     The value is what the filter compares against its termination
-    threshold: only positive excess over the identity matters.
+    threshold: only positive excess over the identity matters. It is the
+    top eigenvalue of the validated sigma - I whatever its structure, so a
+    certificate decided on it holds of sigma.
     """
     mat = as_sym_matrix(sigma)  # a fresh array, so sigma is left as it was
     mat.flat[:: mat.shape[0] + 1] -= 1.0
-    value, vector, _ = _power_eigenpair(mat)
-    return max(0.0, value), vector
+    values, vectors = np.linalg.eigh(mat)
+    return max(0.0, float(values[-1])), vectors[:, -1], float(values[:-1].max(initial=-math.inf))
 
 
 def spectral_norm(m) -> float:

@@ -37,6 +37,10 @@ class TestSampleGaussian:
         mu = np.array([3.0, -1.0, 0.5])
         data = sample_gaussian(50_000, 3, mu, seed=4)
         assert np.max(np.abs(data.mean(axis=0) - mu)) < 0.05
+        # A non-finite or wrong-length centre is rejected, not sampled around.
+        for bad, message in [(np.nan, "non-finite"), (np.inf, "non-finite"), (mu[:2], "dimension mismatch")]:
+            with pytest.raises(ValueError, match=message):
+                sample_gaussian(5, 3, bad, seed=0)
 
     @pytest.mark.parametrize("n,d", [(0, 3), (3, 0), (-1, 2)])
     def test_invalid_sizes(self, n, d):
@@ -109,6 +113,16 @@ class TestCorrupt:
         data = sample_gaussian(10, 2, 0.0, seed=1)
         with pytest.raises(ValueError):
             corrupt(data, 0.5, ConstantCluster(), seed=0)
+        # Non-finite or wrong-length centres and non-finite shifts would
+        # plant nan or inf rows.
+        for kwargs, adversary, message in [
+            ({"mu_true": np.inf}, ConstantCluster(), "non-finite"),
+            ({"mu_true": np.zeros(3)}, ConstantCluster(), "dimension mismatch"),
+            ({}, ConstantCluster(offset=np.nan), "must be finite"),
+            ({}, DirectionalSpread(magnitude=-np.inf), "must be finite"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                corrupt(data, 0.2, adversary, seed=0, fixed_count=True, **kwargs)
 
 
 class TestGoodnessCheck:
@@ -160,6 +174,12 @@ class TestGoodnessCheck:
             goodness_check(data, 0.0, gamma=0.6, tau=0.05)
         with pytest.raises(ValueError):
             goodness_check(data, 0.0, gamma=0.1, tau=0.0)
+        with pytest.raises(ValueError, match="n_directions"):
+            goodness_check(data, 0.0, gamma=0.1, tau=0.05, n_directions=0)
+        with pytest.raises(ValueError, match="non-finite"):
+            goodness_check(data, np.nan, gamma=0.1, tau=0.05)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            goodness_check(data, np.zeros(3), gamma=0.1, tau=0.05)
 
 
 class TestDatasetCsv:

@@ -237,7 +237,7 @@ class TestFilterLoop:
         assert np.max(np.abs(out.mean - mean)) <= 1e-9
         if term is Termination.CERTIFICATE:
             assert diag.final_spectral_deviation == pytest.approx(deviation, abs=1e-12)
-            # The certificate is the cold solve on the survivors' two-pass
+            # The certificate is one eigh of the survivors' two-pass
             # covariance, bit for bit.
             sigma = empirical_covariance(survivors(data, out), out.mean)
             assert diag.final_spectral_deviation == spectral_deviation_pair(sigma)[0]
@@ -270,13 +270,41 @@ class TestFilterLoop:
         make, cfg, _ending, _rounds = PARITY_CASES[case]
         slack = []
 
-        def solve(mat, start=None, bound=math.inf):
+        def solve(mat, start, bound):
             slack.append(bound - np.linalg.eigvalsh(mat)[-2])
             return _power_eigenpair(mat, start, bound)
 
         monkeypatch.setattr(filtering, "_power_eigenpair", solve)
         filter_gaussian_unknown_mean(make(), cfg)
         assert len(slack) > 100 and min(slack) >= -1e-9
+
+    def test_certificate_holds_for_start_eigenvector(self):
+        # A dataset built so that a fixed start vector u0 is an exact
+        # eigenvector of sigma - I with eigenvalue 0.1, under the threshold
+        # 0.2303, while lambda_max is 899 along v. Coefficients along (u0, v,
+        # w1, w2): +-sqrt(1.1) along u0; +90 on 104 rows and -10 on 936 along
+        # v; and sign patterns tiled per 4 rows along (u0, w1, w2), so every
+        # cross-covariance is exactly 0. u0 is the start of an earlier
+        # solver, which certified this dataset at round 0. Its neighbour moves
+        # one row by 0.5 w1, is not built around u0, and removes the 104 rows.
+        d, n = 4, 1040
+        u0 = np.random.Generator(np.random.Philox(key=0xD1FE)).standard_normal(d)
+        u0 /= np.linalg.norm(u0)
+        basis, _ = np.linalg.qr(np.column_stack([u0, np.eye(d)[:, : d - 1]]))
+        basis[:, 0] = u0
+        u0, v, w1, w2 = basis.T
+        signs = np.tile([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]], (n // 4, 1))
+        along_v = np.where(np.arange(n) < 104, 90.0, -10.0)
+        data = np.outer(math.sqrt(1.1) * signs[:, 0], u0) + np.outer(along_v, v)
+        data += np.outer(signs[:, 1], w1) + np.outer(signs[:, 2], w2)
+        neighbour = data.copy()
+        neighbour[-1] += 0.5 * w1
+        cfg = RobustConfig(gamma=0.1, c_thresh=1.0)
+        reports = [dp_robust_mean(x, cfg, epsilon=1.0, seed=0, diagnostic=True) for x in (data, neighbour)]
+        assert reports[0].filter_diag.iterations > 0
+        assert all(r.filter_diag.terminated_by is Termination.CERTIFICATE for r in reports)
+        moved = float(np.linalg.norm(reports[0].robust_mean - reports[1].robust_mean))
+        assert moved <= reports[0].sensitivity_used
 
     def test_identical_points_removed_lowest_index_first(self):
         # Three identical rows tie for the largest projection every round they survive.

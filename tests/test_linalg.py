@@ -1,11 +1,12 @@
 """Linear-algebra primitives against dense oracles.
 
 Oracles: math.fsum re-summation for the mean, an O(n d^2) double loop for
-the covariance, and numpy's eigvalsh for the spectrum. The cold-start
-solver _power_eigenpair hands off to np.linalg.eigh when its power
-iteration does not settle, but never calls eigvalsh; spectral_norm is
-eigvalsh itself, so its test checks only the reduction to the largest
-|eigenvalue|.
+the covariance, and numpy's eigvalsh for the spectrum. spectral_deviation_pair
+is one np.linalg.eigh of sigma - I; the warm-start solver _power_eigenpair
+keeps a settled pair only when its bound on lambda_2 proves it is the top
+one, and otherwise hands off to np.linalg.eigh, so it never calls eigvalsh;
+spectral_norm is eigvalsh itself, so its test checks only the reduction to
+the largest |eigenvalue|.
 """
 
 import math
@@ -15,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dprobust import linalg
 from dprobust.linalg import (
     _power_eigenpair,
     as_dataset,
@@ -193,7 +193,8 @@ class TestEmpiricalCovariance:
 
 
 class TestMaxEigenpair:
-    """The algebraically largest eigenpair from _power_eigenpair's cold start.
+    """The algebraically largest eigenpair from _power_eigenpair's warm
+    starts, under a valid bound on lambda_2.
 
     The class keeps the name of the deleted function it first tested, so
     that its test ids stay comparable across runs."""
@@ -219,10 +220,16 @@ class TestMaxEigenpair:
            "all_negative", "zero", "ones_not_top"],
     )
     def test_algebraic_maximum(self, m):
-        value, vector, _ = _power_eigenpair(as_sym_matrix(m))
-        assert value == pytest.approx(oracle_top_eigenvalue(m), abs=1e-8)
-        assert abs(np.linalg.norm(vector) - 1.0) <= 1e-9
-        assert residual(m, value, vector) <= 1e-7 * max(1.0, abs(value))
+        # Adversarial starts: all-ones, an eigenvector of several of these
+        # matrices, and the eigenvector of lambda_2 itself, on which the
+        # iteration settles at once.
+        d = m.shape[0]
+        values, vectors = np.linalg.eigh(m)
+        for start in (np.ones(d) / math.sqrt(d), vectors[:, -2]):
+            value, vector, _ = _power_eigenpair(as_sym_matrix(m), start, float(values[-2]))
+            assert value == pytest.approx(oracle_top_eigenvalue(m), abs=1e-8)
+            assert abs(np.linalg.norm(vector) - 1.0) <= 1e-9
+            assert residual(m, value, vector) <= 1e-7 * max(1.0, abs(value))
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
@@ -245,7 +252,7 @@ class TestMaxEigenpair:
         calls = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(counted.products) or eigh(*a, **k))
-        value, vector, second = _power_eigenpair(counted)
+        value, vector, second = _power_eigenpair(counted, np.ones(d) / math.sqrt(d), float(values[-2]))
         assert calls and calls[0] < d
         assert value == float(values[-1])
         assert np.array_equal(vector, vectors[:, -1])
@@ -257,10 +264,12 @@ class TestSpectralDeviation:
         # The solver gets sigma - I bit for bit, and the caller's sigma is
         # left as it was.
         seen = []
-        monkeypatch.setattr(linalg, "_power_eigenpair", lambda mat: seen.append(mat.copy()) or _power_eigenpair(mat))
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda mat: seen.append(mat.copy()) or eigh(mat))
         sigma = random_symmetric(3) + 2.0 * np.eye(5)
         before = sigma.copy()
         spectral_deviation_pair(sigma)
+        assert len(seen) == 1
         assert np.array_equal(seen[0], as_sym_matrix(before) - np.eye(5))
         assert np.array_equal(sigma, before)
 
@@ -285,20 +294,19 @@ class TestSpectralDeviation:
         data[:40] += np.array([6.0] + [0.0] * 7)  # planted shift
         cov = empirical_covariance(data, empirical_mean(data))
         expected = max(0.0, oracle_top_eigenvalue(cov - np.eye(8)))
-        # A planted cluster opens a wide spectral gap, which the power
-        # iteration must settle by itself, without the eigh fallback.
+        # Exact moments are solved by one eigh, however wide the gap.
         calls = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
         assert spectral_deviation_pair(cov)[0] == pytest.approx(expected, abs=1e-8)
-        assert calls == []
+        assert calls == [1]
 
     def test_direction_residual_in_high_dimension(self):
-        # d = 500 with n = 1000: a small spectral gap that a bounded power
-        # iteration does not settle; the direction must still be accurate.
+        # d = 500 with n = 1000: a small spectral gap; the direction must
+        # still be accurate.
         data = np.random.default_rng(0).normal(size=(1000, 500))
         cov = empirical_covariance(data, empirical_mean(data))
-        value, vector = spectral_deviation_pair(cov)
+        value, vector, _ = spectral_deviation_pair(cov)
         assert value > 0.0
         assert residual(cov - np.eye(500), value, vector) <= 1e-7 * max(1.0, value)
 
@@ -327,25 +335,14 @@ class TestSpectralDeviation:
         "shifted_random": random_symmetric(0) + 4.0 * np.eye(5),
     }
 
-    @pytest.mark.parametrize("case", START_CASES)
-    def test_exact_start_returned_without_eigh(self, case, monkeypatch):
-        m = self.START_CASES[case]
-        values, vectors = np.linalg.eigh(m)
-        calls = []
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
-        value, vector, _ = _power_eigenpair(m, start=vectors[:, -1])
-        assert calls == []
-        assert np.array_equal(vector, vectors[:, -1])
-        assert value == pytest.approx(values[-1], abs=1e-12)
-
     @pytest.mark.parametrize("case", ["diagonal", "ones_not_top", "shifted_random"])
     def test_lower_eigenvector_start_still_gives_top_pair(self, case):
         # The start is an exact eigenvector with a positive eigenvalue below
-        # the top one: power iteration settles on it at once.
+        # the top one: power iteration settles on it at once, and with no
+        # usable bound (inf) the pair is never kept.
         m = self.START_CASES[case]
         values, vectors = np.linalg.eigh(m)
-        value, vector, _ = _power_eigenpair(m, start=vectors[:, -2])
+        value, vector, _ = _power_eigenpair(m, vectors[:, -2], math.inf)
         assert values[-2] > 0.0
         assert value == pytest.approx(values[-1], abs=1e-8)
         assert residual(m, value, vector) <= 1e-7 * max(1.0, value)
@@ -354,7 +351,7 @@ class TestSpectralDeviation:
     @pytest.mark.parametrize("slack", [0.0, 0.5])
     def test_lower_eigenvector_start_with_valid_bound_gives_top_pair(self, case, slack):
         # A valid lambda_2 bound cannot certify a pair settled on lambda_2
-        # itself: the solver computes lambda_2 afresh and hands off to eigh.
+        # itself: the solver hands off to eigh, which gives lambda_2 too.
         m = self.START_CASES[case]
         values, vectors = np.linalg.eigh(m)
         value, vector, second = _power_eigenpair(m, vectors[:, -2], values[-2] + slack)
@@ -364,6 +361,8 @@ class TestSpectralDeviation:
 
     @pytest.mark.parametrize("case", START_CASES)
     def test_top_start_under_bound_skips_spectral_calls(self, case, monkeypatch):
+        # The top eigenvector as start settles at once, and a valid lambda_2
+        # bound keeps it exactly, with no spectral call.
         m = self.START_CASES[case]
         values, vectors = np.linalg.eigh(m)
         calls = []
@@ -376,11 +375,13 @@ class TestSpectralDeviation:
 
     # (matrix, start, bound, whether the solve computes a spectrum); a start
     # of k is the eigenvector of the k-th largest eigenvalue, and a bound of
-    # None is lambda_2 itself.
+    # None is lambda_2 itself. The cold cases take no start: they are the
+    # exact solve, spectral_deviation_pair of m + I, which the filter's
+    # carried bound starts from.
     SECOND_CASES = {
-        "cold_planted_gap": (planted_gap(), None, math.inf, False),
-        "cold_small_gap": (small_gap(20), None, math.inf, True),
-        "cold_negative_1d": (np.array([[-1.0]]), None, math.inf, True),
+        "cold_planted_gap": (planted_gap(), None, None, True),
+        "cold_small_gap": (small_gap(20), None, None, True),
+        "cold_negative_1d": (np.array([[-1.0]]), None, None, True),
         "warm_top_no_bound": (START_CASES["shifted_random"], 1, math.inf, True),
         "warm_top_1d": (np.array([[2.0]]), 1, math.inf, True),
         "warm_top_under_bound": (START_CASES["shifted_random"], 1, None, False),
@@ -398,15 +399,19 @@ class TestSpectralDeviation:
             monkeypatch.setattr(
                 np.linalg, name, lambda *a, _name=name, _solver=solver, **k: calls.append(_name) or _solver(*a, **k)
             )
-        value, vector, second = _power_eigenpair(
-            m, None if start is None else vectors[:, -start], lambda_2 if bound is None else bound
-        )
+        if start is None:
+            value, vector, second = spectral_deviation_pair(m + np.eye(m.shape[0]))
+            assert calls == ["eigh"]
+            top = max(0.0, float(values[-1]))
+        else:
+            value, vector, second = _power_eigenpair(m, vectors[:, -start], lambda_2 if bound is None else bound)
+            top = float(values[-1])
         assert bool(calls) is computes
         if computes:
             assert second == pytest.approx(lambda_2, abs=1e-12)
         else:
             assert second is None
-        assert value == pytest.approx(values[-1], abs=1e-8)
+        assert value == pytest.approx(top, abs=1e-8)
 
 
 class TestSpectralNorm:
