@@ -18,6 +18,7 @@ regenerate the noise and subtract it from the release.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -166,16 +167,9 @@ def _report_payload(args, report) -> dict:
     if args.diagnostic:
         result["seed"] = report.seed
         result["robust_mean"] = [float(x) for x in report.robust_mean]
-        if report.filter_diag is not None:
-            diag = report.filter_diag
-            result["filter"] = {
-                "iterations": diag.iterations,
-                "removed_count": len(diag.removed_indices),
-                "removed_indices": diag.removed_indices,
-                "final_spectral_deviation": diag.final_spectral_deviation,
-                "threshold": diag.threshold,
-                "terminated_by": diag.terminated_by.value,
-            }
+        diag = report.filter_diag
+        if diag is not None:
+            result["filter"] = dataclasses.asdict(diag) | {"removed_count": len(diag.removed_indices)}
     return result
 
 

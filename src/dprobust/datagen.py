@@ -10,8 +10,7 @@ deterministic experiments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,8 +62,8 @@ ADVERSARY_NAMES = ("constant_cluster", "directional_spread", "subtractive_only")
 class CorruptionPlan:
     gamma: float
     adversary: Adversary | None
-    replaced_indices: list[int] = field(default_factory=list)
-    m_prime: int = 0
+    replaced_indices: list[int]
+    m_prime: int
 
 
 @dataclass(frozen=True)
@@ -103,7 +102,8 @@ def corrupt(
     mu_true=0.0,
     fixed_count: bool = False,
 ) -> tuple[np.ndarray, CorruptionPlan]:
-    """Apply a corruption adversary to a copy of data.
+    """Apply a corruption adversary to data, returning a new array; the
+    input is left as it was.
 
     Draws m' ~ Binomial(n, gamma) (or round(gamma n) in fixed-count mode),
     picks m' row indices uniformly without replacement, and rewrites them
@@ -120,45 +120,31 @@ def corrupt(
     shift = getattr(adversary, "offset", getattr(adversary, "magnitude", 0.0))
     if not math.isfinite(shift):
         raise ValueError(f"adversary offset or magnitude must be finite, got {shift!r}")
-    if adversary is None or gamma == 0.0:
-        return arr.copy(), CorruptionPlan(gamma=gamma, adversary=adversary)
 
     rng = np.random.default_rng(seed)
-    m_prime = int(round(gamma * n)) if fixed_count else int(rng.binomial(n, gamma))
+    m_prime = 0
+    if adversary is not None and gamma > 0.0:
+        m_prime = int(round(gamma * n)) if fixed_count else int(rng.binomial(n, gamma))
+    indices = np.empty(0, dtype=int)
     if m_prime == 0:
-        return arr.copy(), CorruptionPlan(gamma=gamma, adversary=adversary)
-
-    out = arr.copy()
-
-    if isinstance(adversary, SubtractiveOnly):
-        indices = np.argsort(out[:, 0], kind="stable")[-m_prime:]
+        out = arr.copy()
+    elif isinstance(adversary, SubtractiveOnly):
+        indices = np.argsort(arr[:, 0], kind="stable")[-m_prime:]
         keep = np.ones(n, dtype=bool)
         keep[indices] = False
-        plan = CorruptionPlan(
-            gamma=gamma,
-            adversary=adversary,
-            replaced_indices=sorted(int(i) for i in indices),
-            m_prime=m_prime,
-        )
-        return out[keep], plan
-
-    indices = rng.choice(n, size=m_prime, replace=False)
-    point = center.copy()
-    point[0] += shift
-    if isinstance(adversary, ConstantCluster):
-        out[indices] = point
-    elif isinstance(adversary, DirectionalSpread):
-        out[indices] = point + 0.1 * rng.standard_normal((m_prime, d))
+        out = arr[keep]
     else:
-        raise ValueError(f"unknown adversary {adversary!r}")
+        indices = rng.choice(n, size=m_prime, replace=False)
+        point = center.copy()
+        point[0] += shift
+        if isinstance(adversary, DirectionalSpread):
+            point = point + 0.1 * rng.standard_normal((m_prime, d))
+        elif not isinstance(adversary, ConstantCluster):
+            raise ValueError(f"unknown adversary {adversary!r}")
+        out = arr.copy()
+        out[indices] = point
 
-    plan = CorruptionPlan(
-        gamma=gamma,
-        adversary=adversary,
-        replaced_indices=sorted(int(i) for i in indices),
-        m_prime=m_prime,
-    )
-    return out, plan
+    return out, CorruptionPlan(gamma, adversary, sorted(indices.tolist()), m_prime)
 
 
 def _gaussian_upper_tail(t: np.ndarray) -> np.ndarray:
@@ -253,9 +239,8 @@ def save_dataset_csv(data, path) -> None:
 
 
 def load_dataset_csv(path) -> np.ndarray:
-    """Read a headerless CSV dataset written by save_dataset_csv."""
-    p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(f"dataset file not found: {p}")
-    arr = np.loadtxt(p, delimiter=",", ndmin=2)
-    return as_dataset(arr)
+    """Read a headerless CSV dataset written by save_dataset_csv.
+
+    A missing file raises numpy's FileNotFoundError ("<path> not found.").
+    """
+    return as_dataset(np.loadtxt(path, delimiter=",", ndmin=2))

@@ -29,7 +29,6 @@ from .datagen import (
     sample_gaussian,
 )
 from .estimators import (
-    EstimateReport,
     Method,
     WinsorizeConfig,
     dp_mean,
@@ -73,6 +72,10 @@ class ExperimentConfig:
             raise ConfigError("trials must be at least 1")
         if not self.methods:
             raise ConfigError("methods must be nonempty")
+        if not all(isinstance(m, Method) for m in self.methods):
+            raise ConfigError(f"methods must be Method members, got {self.methods!r}")
+        if not isinstance(self.adversary, Adversary | None):
+            raise ConfigError(f"adversary must be an adversary instance or None, got {self.adversary!r}")
         try:
             PrivacyParams(epsilon=self.epsilon, delta=self.tau)
             RobustConfig(self.gamma, self.tau, 1.0 if self.c_thresh is None else self.c_thresh)
@@ -120,23 +123,6 @@ def derive_seed(base_seed: int, *parts) -> int:
         "|".join(str(p) for p in parts).encode("ascii"), digest_size=8
     ).digest()
     return (int.from_bytes(digest, "big") ^ (base_seed & 0xFFFFFFFFFFFFFFFF)) & 0x7FFFFFFFFFFFFFFF
-
-
-def _run_method(
-    method: Method,
-    data: np.ndarray,
-    config: ExperimentConfig,
-    seed: int,
-) -> EstimateReport:
-    if method is Method.DP_ROBUST:
-        cfg = RobustConfig(gamma=config.gamma, tau=config.tau, c_thresh=config.c_thresh)
-        return dp_robust_mean(data, cfg, config.epsilon, seed, diagnostic=True)
-    if method is Method.DP_PLAIN:
-        return dp_mean(data, config.tau, config.c_thresh, config.epsilon, seed, diagnostic=True)
-    if method is Method.DP_WINSORIZED:
-        params = PrivacyParams(epsilon=config.epsilon, delta=config.tau)
-        return dp_winsorized_mean(data, config.winsorize, params, seed, diagnostic=True)
-    raise ConfigError(f"unknown method {method!r}")
 
 
 def run_sweep(config: ExperimentConfig) -> list[TrialRecord]:
@@ -192,12 +178,16 @@ def _run_trial(
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SampleSizeWarning)
-            report = _run_method(method, data, config, seed)
+            if method is Method.DP_ROBUST:
+                cfg = RobustConfig(gamma=gamma, tau=config.tau, c_thresh=config.c_thresh)
+                report = dp_robust_mean(data, cfg, config.epsilon, seed, diagnostic=True)
+            elif method is Method.DP_PLAIN:
+                report = dp_mean(data, config.tau, config.c_thresh, config.epsilon, seed, diagnostic=True)
+            else:
+                params = PrivacyParams(epsilon=config.epsilon, delta=config.tau)
+                report = dp_winsorized_mean(data, config.winsorize, params, seed, diagnostic=True)
     except Exception as exc:  # noqa: BLE001 - marker row keeps the sweep alive
         warnings.warn(f"trial failed ({method.value}, n={n}, d={d}, trial={trial}): {exc}")
-        report = None
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
-    if report is None:
         nan = float("nan")
         outcome = dict(
             l2_error=nan, robust_l2_error=nan, noise_sigma=nan, bound_used=nan,
@@ -224,7 +214,7 @@ def _run_trial(
         c_thresh=config.c_thresh,
         trial=trial,
         seed=seed,
-        runtime_ms=elapsed_ms,
+        runtime_ms=(time.perf_counter() - start) * 1000.0,
         **outcome,
     )
 

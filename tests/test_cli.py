@@ -1,12 +1,15 @@
 """CLI surface: subcommands, JSON output, exit codes, seed overrides."""
 
+import dataclasses
 import json
+import warnings
 
 import pytest
 
 from dprobust import cli, estimators, harness
 from dprobust.cli import main
 from dprobust.datagen import load_dataset_csv
+from dprobust.filtering import FilterDiagnostics, SampleSizeWarning
 from dprobust.harness import (
     aggregate_to_csv,
     excess_error_table,
@@ -14,6 +17,7 @@ from dprobust.harness import (
     run_sweep,
     write_records_csv,
 )
+from dprobust.sensitivity import RobustConfig
 
 SWEEP_CONFIG = """
 n_values = 100
@@ -79,7 +83,10 @@ class TestEstimate:
         assert "robust_mean" not in payload["result"]
         assert "seed" not in payload["result"]
 
-    def test_diagnostic_mode(self, dataset, capsys):
+    def test_diagnostic_mode(self, tmp_path, capsys):
+        # A planted cluster, so the filter removes rows before it certifies.
+        dataset = tmp_path / "dirty.csv"
+        run(["synth", "--n", "200", "--d", "5", "--seed", "1", "--out", str(dataset), "--gamma", "0.1", "--fixed-count"])
         run(
             [
                 "estimate", "--data", str(dataset), "--method", "dp_robust",
@@ -88,11 +95,22 @@ class TestEstimate:
         )
         payload = json.loads(capsys.readouterr().out.strip())
         assert "robust_mean" in payload["result"]
-        assert payload["result"]["filter"]["terminated_by"] in (
-            "certificate",
-            "fallback_exhausted",
-        )
         assert payload["result"]["seed"] == 4
+        # The filter object holds every FilterDiagnostics field plus removed_count.
+        flt = payload["result"]["filter"]
+        assert flt.keys() == {f.name for f in dataclasses.fields(FilterDiagnostics)} | {"removed_count"}
+        assert flt["removed_count"] == len(flt["removed_indices"]) == flt["iterations"] > 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SampleSizeWarning)
+            report = estimators.dp_robust_mean(
+                load_dataset_csv(dataset), RobustConfig(gamma=0.1), 1.0, 4, diagnostic=True
+            )
+        diag = report.filter_diag
+        assert flt["iterations"] == diag.iterations
+        assert flt["removed_indices"] == diag.removed_indices
+        assert flt["final_spectral_deviation"] == diag.final_spectral_deviation
+        assert flt["threshold"] == diag.threshold
+        assert flt["terminated_by"] == diag.terminated_by.value == "certificate"
 
     def test_winsorized(self, dataset, capsys):
         run(
@@ -207,6 +225,10 @@ class TestExitCodes:
 
     def test_missing_config_file_is_one(self, tmp_path, capsys):
         assert run(["sweep", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "o.csv")]) == 1
+
+    def test_missing_data_file_is_one(self, tmp_path, capsys):
+        assert run(["estimate", "--data", str(tmp_path / "nope.csv"), "--method", "dp_plain"]) == 1
+        assert "nope.csv not found" in capsys.readouterr().err
 
     def test_bad_config_value_is_one(self, tmp_path, capsys):
         cfg, out = tmp_path / "bad.cfg", tmp_path / "o.csv"

@@ -120,6 +120,7 @@ class TestCorrupt:
             ({"mu_true": np.zeros(3)}, ConstantCluster(), "dimension mismatch"),
             ({}, ConstantCluster(offset=np.nan), "must be finite"),
             ({}, DirectionalSpread(magnitude=-np.inf), "must be finite"),
+            ({}, object(), "unknown adversary"),
         ]:
             with pytest.raises(ValueError, match=message):
                 corrupt(data, 0.2, adversary, seed=0, fixed_count=True, **kwargs)

@@ -387,6 +387,16 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="unknown adversary"):
             parse_config_text("n_values = 10\nd_values = 2\nadversary = alien\n")
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"methods": ("dp_plain",), "adversary": None}, {"adversary": "constant_cluster"}],
+        ids=["method_name", "adversary_name"],
+    )
+    def test_config_rejects_names_for_members(self, kwargs):
+        # run_sweep would crash on these outside its marker-row guard.
+        with pytest.raises(ConfigError, match="methods|adversary"):
+            ExperimentConfig(n_values=(100,), d_values=(3,), **kwargs)
+
     def test_invalid_gamma(self):
         with pytest.raises(ConfigError):
             parse_config_text("n_values = 10\nd_values = 2\ngamma = 0.9\n")

@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dprobust.datagen import sample_gaussian
+from dprobust.datagen import ConstantCluster, SubtractiveOnly, corrupt, sample_gaussian
 from dprobust.estimators import WinsorizeConfig, winsorized_mean
 from dprobust.filtering import SampleSizeWarning, Termination, filter_gaussian_unknown_mean
 from dprobust.linalg import empirical_covariance
@@ -68,3 +68,9 @@ def test_empirical_covariance(clean):
 def test_sample_gaussian():
     # The output itself is 1.
     assert peak(sample_gaussian, N, D, 1.0, 0) <= 1.25
+
+
+@pytest.mark.parametrize("adversary, bound", [(SubtractiveOnly(), 1.0), (ConstantCluster(), 1.25)])
+def test_corrupt(clean, adversary, bound):
+    # The output is itself 0.9 (the kept rows) or 1 (the rewritten copy).
+    assert peak(lambda: corrupt(clean, 0.1, adversary, fixed_count=True)) <= bound
