@@ -24,7 +24,7 @@ import math
 import sys
 
 from .datagen import corrupt, load_dataset_csv, sample_gaussian, save_dataset_csv
-from .estimators import Method, WinsorizeConfig, dp_mean, dp_robust_mean, dp_winsorized_mean
+from .estimators import Method, WinsorizeConfig, _plain_gamma, dp_mean, dp_robust_mean, dp_winsorized_mean
 from .harness import (
     ConfigError,
     aggregate_to_csv,
@@ -195,7 +195,7 @@ def _cmd_estimate(args) -> int:
     elif method is Method.DP_PLAIN:
         report = dp_mean(data, args.tau, args.c_thresh, args.epsilon, args.seed, diagnostic=args.diagnostic)
         params = {
-            "gamma": 1.0 / data.shape[0],
+            "gamma": _plain_gamma(data.shape[0]),
             "tau": args.tau,
             "c_thresh": args.c_thresh,
             "epsilon": args.epsilon,

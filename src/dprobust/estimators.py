@@ -94,6 +94,12 @@ def _release(
     )
 
 
+def _plain_gamma(n: int) -> float:
+    """dp_plain's corruption level for n rows, 1/n: the filter assumes no
+    corruption beyond the one row a neighbouring dataset changes."""
+    return 1.0 / n
+
+
 def dp_robust_mean(
     data,
     cfg: RobustConfig,
@@ -134,7 +140,7 @@ def dp_mean(
     n = arr.shape[0] if arr.ndim else 0
     if n < 3:
         raise ValueError("dp_mean requires at least 3 rows")
-    cfg = RobustConfig(gamma=1.0 / n, tau=tau, c_thresh=c_thresh)
+    cfg = RobustConfig(gamma=_plain_gamma(n), tau=tau, c_thresh=c_thresh)
     privacy = PrivacyParams(epsilon=epsilon, delta=tau)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SampleSizeWarning)

@@ -15,8 +15,7 @@ than 8 gamma m rows, while keeping it needs m - |tail| >= (1 - 2 gamma) n >=
 floor always cut the set to its largest projection, and a one-row tail set
 is that row; the rule has no options and no constants.
 
-A round costs O(d^2) for the removed row plus one O(n d) projection: the
-loop keeps s1 = sum (x - anchor) and s2 = sum (x - anchor)(x - anchor)^T
+The loop keeps s1 = sum (x - anchor) and s2 = sum (x - anchor)(x - anchor)^T
 over the survivors, anchored at the survivor mean of the last rebuild,
 subtracts each removed row from them, marks it in a mask over all n rows,
 and warm-starts the top eigenpair of a removal round from the previous
@@ -36,6 +35,39 @@ computed a spectrum: round 0, a rebuild, or a removal round that fell back
 to np.linalg.eigh. So a warm pair is kept without a factorization, and
 lambda_2 is computed afresh only when that bound is too loose.
 
+A removal round finds its row without projecting every row. A full pass
+projects all n rows with one matvec and keeps its direction v0, its centre
+c0 and every |q_i| = |(x_i - c0) . v0|. At the first full pass the loop
+also takes r_i >= ||x_i - a||, a that pass's centre, from ||x_i||^2 -
+2 x_i . a + ||a||^2 (one row-norm pass and one matvec). A later round with
+direction v and centre c bounds every row: with x_i - c = (x_i - c0) +
+(c0 - c), v = s v0 + (v - s v0) for either sign s, and Cauchy-Schwarz,
+
+    |(x_i - c) . v| <= |q_i| + ||x_i - c0|| delta + |(c0 - c) . v|,
+    delta = min_s ||v - s v0||, so delta^2 = ||v||^2 + ||v0||^2 - 2 |v . v0|,
+
+and ||x_i - c0|| <= r_i + ||a - c0||. The sign matters: eigh may return
+-v for v. So the round projects the survivor j of largest bound exactly;
+no row whose bound falls below that projection can win, and the others,
+the candidates, are projected and compared in ascending index order. When
+more than half the survivors are candidates, projecting them costs more
+than the matvec, and the round makes a full pass instead; so does the
+round after a rebuild. Rounding is covered the same way throughout: every
+computed dot product of length d is within (d + 2) eps / 2 ||x|| ||y|| of
+the exact one, every norm here is at most S = max_i ||x_i|| (the centres
+are means of rows) or twice it, and the loop widens r_i and delta and
+lowers the cut by 16 (d + 2) eps S, more than those errors add up to. So
+a row left out loses to row j in the full pass's own arithmetic, and the
+removed row is the one a full pass would remove, up to last-bit
+differences between a full matvec and the candidates' row-by-row
+projection. That projection is the same arithmetic for every row, so
+identical rows tie exactly and the lowest index wins.
+
+A round costs O(d^2) for the removed row, O(n) to bound every row and
+O(k d) to project its k candidates; a full pass costs O(n d). On a planted
+cluster at (5000, 50) the candidates are the cluster rows left, about 250
+a round, and one full pass serves a whole release.
+
 The loop runs while the deviation exceeds the threshold. Round 0 solves
 the input's exact moments with one np.linalg.eigh. Downdated sums drift
 by rounding, so a removal round whose deviation falls to the threshold
@@ -48,10 +80,12 @@ a start vector. No periodic rebuild is made: on no known input does the
 drift change a termination or which rows are removed, so a rebuild
 schedule would be a constant with nothing to tune it against.
 
-The working set is the input, two n-vectors (the mask and the
-projections) and a few (d, d) moments. The survivors are copied out of the
-input only at a rebuild after removals, one copy at a time: round 0 reads
-the input itself, and the returned mean is a masked sum over it.
+The working set is the input, a few n-vectors (the mask, the last full
+pass's projections, r and a round's bounds), the candidates gathered at
+most _block_rows rows at a time, and a few (d, d) moments. The survivors
+are copied out of the input only at a rebuild after removals, one copy at
+a time: round 0 reads the input itself, and the returned mean is a masked
+sum over it.
 
 The data is validated (finite, (n, d)) on entry and again by
 empirical_covariance at round 0 and at every rebuild, each a full scan of
@@ -76,6 +110,7 @@ from enum import Enum
 import numpy as np
 
 from .linalg import (
+    _block_rows,
     _power_eigenpair,
     as_dataset,
     empirical_covariance,
@@ -169,17 +204,61 @@ def filter_gaussian_unknown_mean(data, cfg: RobustConfig) -> FilterOutcome:
     dead = np.zeros(n, dtype=bool)
     m = n
     anchor, s1, s2, deviation, direction, lam2, m2 = rebuild()
+    # Set at the first full pass: reach[i] >= ||x_i - a|| for its centre a,
+    # and slack, the rounding allowance 16 (d + 2) eps S. ref is the last
+    # full pass: v0, v0 . v0, an upper bound on ||c0 - a||, c0, and the
+    # |projections| (dead rows -inf).
+    tol = 8.0 * (d + 2) * np.finfo(float).eps
+    step = _block_rows(n, d)
+    reach = ref = None
     removed: list[int] = []
     term = Termination.CERTIFICATE
     while deviation > threshold:
         if m - 1 < floor:
             term = Termination.FALLBACK_EXHAUSTED
             break
-        # Dead rows read -1, below every |projection|; the argmax breaks ties
-        # to the lowest surviving index.
-        proj = np.abs(arr @ direction - (anchor + s1 / m) @ direction)
-        proj[dead] = -1.0
-        i = int(np.argmax(proj))
+        centre = anchor + s1 / m
+        cv = centre @ direction
+        i = -1
+        if ref is not None:
+            v0, v0v0, off, c0, top = ref
+            delta = math.sqrt(direction @ direction + v0v0 - 2.0 * abs(direction @ v0) + tol)
+            bound = reach * delta
+            bound += top
+            j = int(bound.argmax())
+            cut = abs(arr[j] @ direction - cv) - abs(c0 @ direction - cv) - off * delta - slack
+            cand = np.flatnonzero(bound >= cut)
+            # Empty only when a bound is not finite (rows near the overflow
+            # limit); the full pass then decides.
+            if 0 < 2 * cand.size <= m:
+                proj = np.empty(cand.size)
+                for s in range(0, cand.size, step):
+                    proj[s : s + step] = np.einsum("ij,j->i", arr.take(cand[s : s + step], axis=0), direction)
+                proj -= cv
+                i = int(cand[np.abs(proj, out=proj).argmax()])
+        if i < 0:
+            # Dead rows read -inf, below every |projection|; the argmax
+            # breaks ties to the lowest surviving index.
+            top = np.abs(arr @ direction - cv)
+            top[dead] = -np.inf
+            i = int(top.argmax())
+            if reach is None:
+                # ||x - a||^2 = ||x||^2 - 2 x . a + ||a||^2 with no (n, d)
+                # temporary; padding the squares by 2 tol covers the
+                # cancellation when the data sit far from the origin.
+                a = centre
+                reach = np.einsum("ij,ij->i", arr, arr)
+                reach *= 1.0 + 2.0 * tol
+                reach -= 2.0 * (arr @ a)
+                reach += (1.0 + 2.0 * tol) * (a @ a)
+                reach = np.sqrt(reach, out=reach)
+                # S >= max ||x_i||, which bounds every centre's norm too.
+                slack = 2.0 * tol * (reach.max() + math.sqrt(a @ a))
+            off = float(np.linalg.norm(centre - a)) * (1.0 + tol)
+            # A copy: a direction from eigh is a column of its whole (d, d)
+            # eigenvector matrix, which ref would otherwise keep alive.
+            ref = direction.copy(), direction @ direction, off, centre, top
+        top[i] = -np.inf
 
         row = arr[i] - anchor
         s1 -= row
@@ -201,6 +280,7 @@ def filter_gaussian_unknown_mean(data, cfg: RobustConfig) -> FilterOutcome:
         deviation = max(0.0, value)
         if deviation <= threshold:
             anchor, s1, s2, deviation, direction, lam2, m2 = rebuild()
+            ref = None
 
     diagnostics = FilterDiagnostics(
         iterations=len(removed),

@@ -31,12 +31,13 @@ from .datagen import (
 from .estimators import (
     Method,
     WinsorizeConfig,
+    _plain_gamma,
     dp_mean,
     dp_robust_mean,
     dp_winsorized_mean,
 )
 from .filtering import SampleSizeWarning, thresh
-from .linalg import empirical_covariance, empirical_mean, spectral_deviation_pair
+from .linalg import as_sym_matrix, empirical_covariance, empirical_mean
 from .privacy import PrivacyParams
 from .sensitivity import RobustConfig
 
@@ -173,7 +174,7 @@ def _run_trial(
     trial: int,
     seed: int,
 ) -> TrialRecord:
-    gamma = 1.0 / data.shape[0] if method is Method.DP_PLAIN else config.gamma
+    gamma = _plain_gamma(data.shape[0]) if method is Method.DP_PLAIN else config.gamma
     start = time.perf_counter()
     try:
         with warnings.catch_warnings():
@@ -253,7 +254,11 @@ def calibrate_c(
     deviations = np.empty(trials)
     for t in range(trials):
         data = sample_gaussian(n, d, 0.0, seed=derive_seed(seed, "calibrate", n, d, t))
-        deviations[t] = spectral_deviation_pair(empirical_covariance(data, empirical_mean(data)))[0]
+        # spectral_deviation_pair's deviation, from the eigenvalues alone;
+        # sigma is dropped so that it does not sit beside the next trial's.
+        sigma = as_sym_matrix(empirical_covariance(data, empirical_mean(data)))
+        deviations[t] = max(0.0, float(np.linalg.eigvalsh(sigma - np.eye(d))[-1]))
+        del sigma
 
     k = next(k for k in range(1, trials + 1) if k / trials >= quantile)
     kth = np.sort(deviations)[k - 1]

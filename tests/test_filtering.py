@@ -94,6 +94,13 @@ def _attacked(n, d, gamma, adversary, seed):
     return corrupt(clean, gamma, adversary, seed=seed + 1, fixed_count=True)[0]
 
 
+def _far_outliers(n, d, k):
+    # README's case: k rows of N(0, I_d) moved by 1e4 e1.
+    data = sample_gaussian(n, d, 0.0, seed=0)
+    data[:k, 0] += 1e4
+    return data
+
+
 def _symmetric_two_axis(n_pairs, k, c, s, seed):
     # Rows (a, b) and (a, -b) in pairs, an inflated second axis and k rows
     # at (c, 0): sigma stays diagonal up to rounding, so e1 stays an
@@ -218,6 +225,129 @@ class TestSurvivorMean:
         alive = ~dead
         mean = filtering._survivor_mean(arr, dead, int(alive.sum()))
         assert np.array_equal(mean, arr[alive].mean(axis=0))
+
+
+def removal_directions(data, cfg, flip=False):
+    """Run the filter and return its outcome with the direction each removal
+    round projected onto: the last one a solve returned before that round.
+    With flip, every other removal-round solve returns -x for its x, as
+    np.linalg.eigh may; the carried warm start then flips with it."""
+    events = []
+
+    def exact(sigma):
+        deviation, x, second = spectral_deviation_pair(sigma)
+        events.append(x)
+        return deviation, x, second
+
+    def warm(mat, start, bound):
+        events.append(None)  # a removal round has just removed its row
+        lam, x, second = _power_eigenpair(mat, start, bound)
+        if flip and len(events) % 2:
+            x = -x
+        events.append(x)
+        return lam, x, second
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(filtering, "spectral_deviation_pair", exact)
+        mp.setattr(filtering, "_power_eigenpair", warm)
+        out = filter_gaussian_unknown_mean(data, cfg)
+    directions = [events[k - 1] for k, e in enumerate(events) if e is None]
+    # The round that ends at the survivor floor removes nothing and solves nothing.
+    return out, directions
+
+
+def _dense_cluster(n, d, k, seed):
+    # k copies of one point 10 from the mean, with no zero coordinate, at
+    # indices below n - 1.
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal((n, d))
+    point = rng.standard_normal(d)
+    point[0] += 10.0
+    data[rng.choice(n - 1, k, replace=False)] = point
+    return data
+
+
+def _tiny_clean_rows(n, d, scale, seed):
+    # A planted cluster at 10 e1 over clean rows shrunk to scale: the data
+    # are scaled by 1e-8 where it matters, and the filter still has rows to remove.
+    data = _attacked(n, d, 0.1, ConstantCluster(offset=10.0), seed)
+    clean = data[:, 0] != 10.0
+    data[clean] *= scale
+    return data
+
+
+# name: (data, config). Each case removes rows.
+RULE_CASES = {
+    # 200 identical planted rows: each round ties those left.
+    "planted_identical": (lambda: _attacked(2000, 10, 0.1, ConstantCluster(offset=10.0), 71), RobustConfig(gamma=0.1)),
+    # Identical rows whose projections round in every coordinate, at odd n.
+    "planted_dense_identical": (lambda: _dense_cluster(1001, 20, 100, 0), RobustConfig(gamma=0.1)),
+    "far_outliers": (lambda: _far_outliers(4000, 20, 20), RobustConfig(gamma=0.1)),
+    "offset_1e6": (lambda: _attacked(1000, 10, 0.1, DirectionalSpread(), 91) + 1e6, RobustConfig(gamma=0.1)),
+    "scale_1e-8": (lambda: _tiny_clean_rows(1000, 10, 1e-8, 93), RobustConfig(gamma=0.1)),
+    "scale_1e8": (lambda: _attacked(1000, 10, 0.1, ConstantCluster(offset=10.0), 93) * 1e8, RobustConfig(gamma=0.1)),
+    "d1_n3": (lambda: np.array([[0.0], [1.0], [50.0]]), RobustConfig(gamma=0.45)),
+}
+
+
+class TestRemovalRule:
+    """Each round removes the survivor of largest |(x - mean(S)) . v|, the
+    lowest index on a tie, however the loop finds it.
+
+    Most rounds project only the rows that can still win, gathered and
+    projected row by row, not with the full matvec of the other rounds. The
+    two can differ in the last bits, so a removed row is checked against the
+    largest projection to within 1e-9 of it, not bit for bit. Identical rows
+    tie exactly in the row-by-row projection (see the last test here)."""
+
+    @staticmethod
+    def check_rule(data, out, directions):
+        data = np.asarray(data, dtype=float)
+        removed = out.diagnostics.removed_indices
+        assert len(removed) == len(directions) >= 1
+        alive = np.ones(len(data), dtype=bool)
+        for i, v in zip(removed, directions):
+            rows = np.flatnonzero(alive)
+            mu = data[rows].mean(axis=0)
+            proj = project(data[rows], mu, v)
+            tol = 1e-9 * proj.max()
+            assert alive[i] and proj[np.searchsorted(rows, i)] >= proj.max() - tol
+            assert i == rows[np.argmax(proj >= proj.max() - tol)]
+            alive[i] = False
+
+    @pytest.mark.parametrize("case", RULE_CASES)
+    def test_removes_the_lowest_index_of_largest_projection(self, case):
+        make, cfg = RULE_CASES[case]
+        data = make()
+        out, directions = removal_directions(data, cfg)
+        self.check_rule(data, out, directions)
+
+    def test_sign_flipped_directions(self, monkeypatch):
+        # |projection| does not see the sign of v, so neither the removals nor
+        # the number of rows each round projects change when the solver
+        # returns -v.
+        make, cfg = RULE_CASES["planted_identical"]
+        data = make()
+        projected = []
+        flatnonzero = np.flatnonzero
+        monkeypatch.setattr(np, "flatnonzero", lambda a: projected.append(int(np.count_nonzero(a))) or flatnonzero(a))
+        base = filter_gaussian_unknown_mean(data, cfg)
+        base_projected, projected[:] = projected[:], []
+        out, directions = removal_directions(data, cfg, flip=True)
+        assert projected == base_projected and max(projected) <= 200
+        assert any(a @ b < 0 for a, b in zip(directions, directions[1:]))
+        assert out.diagnostics.removed_indices == base.diagnostics.removed_indices
+        self.check_rule(data, out, directions)
+
+    @pytest.mark.parametrize("d", [1, 7, 50])
+    def test_identical_rows_tie_in_the_candidate_projection(self, d):
+        # BLAS's matvec may round a lone trailing row differently from the
+        # rest, so identical rows need not tie in one matvec call; the
+        # row-by-row projection the loop gives its candidates ties them.
+        rows = np.vstack([sample_gaussian(2, d, 0.0, seed=4), np.tile(sample_gaussian(1, d, 0.0, seed=5), (997, 1))])
+        v = sample_gaussian(1, d, 0.0, seed=6)[0]
+        for k in (2, 3, 5, 997):
+            assert np.unique(np.einsum("ij,j->i", rows[: k + 2], v)[2:]).size == 1
 
 
 class TestFilterLoop:
@@ -398,8 +528,7 @@ class TestFilterLoop:
         # k rows moved by 1e4 e1 shift the mean so far that the tail rule
         # would put every clean row in its tail; one row a round removes
         # exactly the moved rows.
-        data = sample_gaussian(4000, 20, 0.0, seed=0)
-        data[:k, 0] += 1e4
+        data = _far_outliers(4000, 20, k)
         out = filter_gaussian_unknown_mean(data, RobustConfig(gamma=0.1))
         diag = out.diagnostics
         assert diag.terminated_by is Termination.CERTIFICATE

@@ -12,8 +12,9 @@ import warnings
 import numpy as np
 import pytest
 
-from dprobust.datagen import ConstantCluster, SubtractiveOnly, corrupt, sample_gaussian
+from dprobust.datagen import ConstantCluster, SubtractiveOnly, corrupt, goodness_check, sample_gaussian
 from dprobust.estimators import WinsorizeConfig, winsorized_mean
+from dprobust import filtering
 from dprobust.filtering import SampleSizeWarning, Termination, filter_gaussian_unknown_mean
 from dprobust.linalg import empirical_covariance
 from dprobust.sensitivity import RobustConfig
@@ -57,12 +58,42 @@ def test_filter_at_gamma_one_over_n(clean):
         assert peak(filter_gaussian_unknown_mean, clean, cfg) <= 0.5
 
 
+def test_filter_removal_rounds(clean, monkeypatch):
+    # Planted rows at 10 e1 and 6 e2: most rounds project only the rows that
+    # can still win, and the turn from e1 to e2 forces a full pass. At gamma
+    # = 0.01 the threshold lies under clean data's deviation, so the loop
+    # ends at the survivor floor without the rebuild that copies the
+    # survivors out.
+    data = clean.copy()
+    data[:500] = 0.0
+    data[:200, 0] = 10.0
+    data[200:500, 1] = 6.0
+    # Per round that bounds the projections: its candidates and survivors.
+    rounds, solves = [], []
+    flatnonzero, solve = np.flatnonzero, filtering._power_eigenpair
+    monkeypatch.setattr(np, "flatnonzero", lambda a: rounds.append((flatnonzero(a).size, N - len(solves))) or flatnonzero(a))
+    monkeypatch.setattr(filtering, "_power_eigenpair", lambda *a: solves.append(1) or solve(*a))
+    cfg = RobustConfig(gamma=0.01)
+    outcome = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SampleSizeWarning)
+        assert peak(lambda: outcome.append(filter_gaussian_unknown_mean(data, cfg))) <= 0.5
+    diag = outcome[0].diagnostics
+    assert diag.terminated_by is Termination.FALLBACK_EXHAUSTED and diag.iterations == 400
+    pruned = sum(0 < 2 * k <= m for k, m in rounds)
+    assert pruned >= 350 and len(rounds) - pruned >= 1
+
+
 def test_winsorized_mean(clean):
     assert peak(winsorized_mean, clean, WinsorizeConfig(range_bound=1.0)) <= 0.5
 
 
 def test_empirical_covariance(clean):
     assert peak(empirical_covariance, clean, clean.mean(axis=0)) <= 0.5
+
+
+def test_goodness_check(clean):
+    assert peak(goodness_check, clean, 0.0, 0.1, 0.05) <= 0.5
 
 
 def test_sample_gaussian():
