@@ -15,33 +15,35 @@ than 8 gamma m rows, while keeping it needs m - |tail| >= (1 - 2 gamma) n >=
 floor always cut the set to its largest projection, and a one-row tail set
 is that row; the rule has no options and no constants.
 
-The loop keeps s1 = sum (x - anchor) and s2 = sum (x - anchor)(x - anchor)^T
-over the survivors, anchored at the survivor mean of the last rebuild,
-subtracts each removed row from them, marks it in a mask over all n rows,
-and warm-starts the top eigenpair of a removal round from the previous
-round's direction. A warm pair (lam, x) with residual at most tol is the
-top one when lam - 2 tol exceeds a bound on the second eigenvalue lambda_2
-of sigma - I. For M = cov(S) - I over a survivor set S of m rows, S_k
-within S_j and rho = m_j / m_k,
+The loop carries three values: centre, the survivors' mean; mat, their
+sigma - I; and cap, a bound on lambda_2 of their scatter matrix m cov(S).
+Removing row x from m + 1 survivors, with z = x - centre and g = (m + 1) /
+m, is exact algebra in three d x d passes (scale, outer product, subtract):
 
-    lambda_2(M_k) <= rho * lambda_2(M_j) + rho - 1.
+    centre <- centre - z / m,
+    mat <- g mat + (g - 1) I - w w^T,  w = sqrt(g / m) z,
 
-Centring S_k at its own mean minimises its second moment, and the rows of
-S_j that S_k drops add positive semidefinite terms, so m_k cov(S_k) <=
-m_j cov(S_j), that is M_k <= rho M_j + (rho - 1) I; Weyl's monotonicity
-gives the eigenvalue bound. It depends only on the sets, so it holds
-across rebuilds. The loop keeps lambda_2 and m_j from the last solve that
-computed a spectrum: round 0, a rebuild, or a removal round that fell back
-to np.linalg.eigh. So a warm pair is kept without a factorization, and
-lambda_2 is computed afresh only when that bound is too loose.
+and the outer product of one vector with itself keeps mat exactly
+symmetric. The round warm-starts the top eigenpair from the previous
+direction. A warm pair (lam, x) with residual at most tol is the top one
+when lam - 2 tol exceeds a bound on lambda_2 of mat. For survivor sets
+S_k within S_j, m_k cov(S_k) <= m_j cov(S_j): centring S_k at its own
+mean minimises its second moment, and the rows S_k drops add positive
+semidefinite terms. So the scatter matrix only shrinks as rows leave, and
+by Weyl's monotonicity its lambda_2 never grows: cap = m_j (lambda_2 + 1)
+from the last solve that computed a spectrum (round 0, a rebuild, or a
+removal round that fell back to np.linalg.eigh) bounds lambda_2 of mat by
+cap / m - 1 in every later round, across rebuilds too. So a warm pair is
+kept without a factorization, and lambda_2 is computed afresh only when
+that bound is too loose.
 
 A removal round finds its row without projecting every row. A full pass
-projects all n rows with one matvec and keeps its direction v0, its centre
-c0 and every |q_i| = |(x_i - c0) . v0|. At the first full pass the loop
-also takes r_i >= ||x_i - a||, a that pass's centre, from ||x_i||^2 -
-2 x_i . a + ||a||^2 (one row-norm pass and one matvec). A later round with
-direction v and centre c bounds every row: with x_i - c = (x_i - c0) +
-(c0 - c), v = s v0 + (v - s v0) for either sign s, and Cauchy-Schwarz,
+projects all n rows and keeps its direction v0, its centre c0 and every
+|q_i| = |(x_i - c0) . v0|. At the first full pass the loop also takes
+r_i >= ||x_i - a||, a that pass's centre, from ||x_i||^2 - 2 x_i . a +
+||a||^2 (one row-norm pass and one matvec). A later round with direction
+v and centre c bounds every row: with x_i - c = (x_i - c0) + (c0 - c),
+v = s v0 + (v - s v0) for either sign s, and Cauchy-Schwarz,
 
     |(x_i - c) . v| <= |q_i| + ||x_i - c0|| delta + |(c0 - c) . v|,
     delta = min_s ||v - s v0||, so delta^2 = ||v||^2 + ||v0||^2 - 2 |v . v0|,
@@ -51,17 +53,18 @@ and ||x_i - c0|| <= r_i + ||a - c0||. The sign matters: eigh may return
 no row whose bound falls below that projection can win, and the others,
 the candidates, are projected and compared in ascending index order. When
 more than half the survivors are candidates, projecting them costs more
-than the matvec, and the round makes a full pass instead; so does the
-round after a rebuild. Rounding is covered the same way throughout: every
+than a full pass, and the round makes one instead; so does the round
+after a rebuild. Rounding is covered the same way throughout: every
 computed dot product of length d is within (d + 2) eps / 2 ||x|| ||y|| of
 the exact one, every norm here is at most S = max_i ||x_i|| (the centres
 are means of rows) or twice it, and the loop widens r_i and delta and
 lowers the cut by 16 (d + 2) eps S, more than those errors add up to. So
-a row left out loses to row j in the full pass's own arithmetic, and the
-removed row is the one a full pass would remove, up to last-bit
-differences between a full matvec and the candidates' row-by-row
-projection. That projection is the same arithmetic for every row, so
-identical rows tie exactly and the lowest index wins.
+a row left out loses to row j in the projection's own arithmetic. Full
+passes and candidates project with the same row-by-row np.einsum, the
+same arithmetic for every row, so the removed row is the one a full pass
+would remove, and identical rows tie exactly and leave lowest index
+first. (A BLAS matvec may round a lone trailing row of a call differently
+from the rest, so identical rows need not tie in one.)
 
 A round costs O(d^2) for the removed row, O(n) to bound every row and
 O(k d) to project its k candidates; a full pass costs O(n d). On a planted
@@ -69,35 +72,26 @@ cluster at (5000, 50) the candidates are the cluster rows left, about 250
 a round, and one full pass serves a whole release.
 
 The loop runs while the deviation exceeds the threshold. Round 0 solves
-the input's exact moments with one np.linalg.eigh. Downdated sums drift
-by rounding, so a removal round whose deviation falls to the threshold
-rebuilds the moments two-pass from the survivors, bit-identical to
-empirical_covariance, and solves them with one np.linalg.eigh too. The
-loop ends on CERTIFICATE only after such a solve, so the certified
-deviation is the top eigenvalue of the survivors' exact sigma - I, and the
-noise calibrated to the certificate bound rests on neither a downdate nor
-a start vector. No periodic rebuild is made: on no known input does the
-drift change a termination or which rows are removed, so a rebuild
-schedule would be a constant with nothing to tune it against.
+the input's exact moments with one np.linalg.eigh. The carried centre and
+mat drift by rounding, so a removal round whose deviation falls to the
+threshold rebuilds them: centre is the survivors' mean as the filter
+returns it, and sigma their two-pass covariance about it, which
+empirical_covariance reads from the input by blocks of survivor indices;
+one np.linalg.eigh solves it too. The loop ends on CERTIFICATE only after
+such a solve, so the noise calibrated to the certificate rests on neither
+a carried update nor a start vector. No periodic rebuild is made: on no
+known input does the drift change a termination or which rows are
+removed, so a schedule would be a constant with nothing to tune it by.
 
 The working set is the input, a few n-vectors (the mask, the last full
-pass's projections, r and a round's bounds), the candidates gathered at
-most _block_rows rows at a time, and a few (d, d) moments. The survivors
-are copied out of the input only at a rebuild after removals, one copy at
-a time: round 0 reads the input itself, and the returned mean is a masked
-sum over it.
-
-The data is validated (finite, (n, d)) on entry and again by
-empirical_covariance at round 0 and at every rebuild, each a full scan of
-the rows it is given: a release of a (5000, 50) planted cluster that
-certifies after 492 removals scans (5000, 50) twice and the final
-(4508, 50) survivors once. The repeat is kept, because a covariance that
-skipped validation would be a second covariance path. Every set of exact
-moments is checked again in spectral_deviation_pair, which rejects a
-covariance that overflowed to non-finite entries. A removal round builds
-sigma - I in place from the downdated sums of those same rows, exactly
-symmetric by construction, and hands it to the linalg module's private
-solver without checking it again.
+pass's projections, r, a round's bounds, a rebuild's survivor indices),
+one block or candidate gather of rows, and a few (d, d) matrices: the
+survivors are never copied out of the input. The input is validated on
+entry and by empirical_covariance at round 0 and at every rebuild (a
+covariance that skipped it would be a second covariance path), and
+spectral_deviation_pair rejects exact moments that overflowed. A removal
+round updates mat from rows of that validated input and hands it to the
+linalg module's private solver without checking it again.
 """
 
 from __future__ import annotations
@@ -157,9 +151,9 @@ def _survivor_mean(arr: np.ndarray, dead: np.ndarray, m: int) -> np.ndarray:
     """Mean of the m rows of arr not marked dead, without gathering them.
 
     An axis-0 sum of a C-contiguous array with d >= 2 columns adds its rows
-    one by one in order, masked or not, so this equals arr[~dead].mean(axis=0)
-    bit for bit. An (m, 1) gather is summed pairwise instead, so at d = 1 the
-    two differ in the last bits.
+    one by one in order, masked or not, so this equals the mean of the
+    gathered rows bit for bit. An (m, 1) gather is summed pairwise instead,
+    so at d = 1 the two differ in the last bits.
     """
     return np.add.reduce(arr, axis=0, where=~dead[:, None]) / m
 
@@ -192,18 +186,18 @@ def filter_gaussian_unknown_mean(data, cfg: RobustConfig) -> FilterOutcome:
     threshold = thresh(cfg.gamma, cfg.c_thresh)
     floor = max(2, math.ceil((1.0 - 2.0 * cfg.gamma) * n))
 
-    # Exact moments of the survivors, re-anchored at their mean (where s1 is
-    # 0 and sigma comes from empirical_covariance itself), validated and
-    # solved with eigh, whose lambda_2 and m re-seed the carried bound.
+    # Exact moments of the survivors, about the mean the filter returns,
+    # validated and solved with eigh, whose lambda_2 re-seeds cap.
     def rebuild():
-        subset = arr if m == n else arr[~dead]
-        anchor = subset.mean(axis=0)
-        sigma = empirical_covariance(subset, anchor)
-        return anchor, np.zeros(d), m * sigma, *spectral_deviation_pair(sigma), m
+        centre = _survivor_mean(arr, dead, m)
+        sigma = empirical_covariance(arr, centre, None if m == n else (~dead).nonzero()[0])
+        deviation, direction, second = spectral_deviation_pair(sigma)
+        sigma.flat[:: d + 1] -= 1.0
+        return centre, sigma, deviation, direction, m * (second + 1.0)
 
     dead = np.zeros(n, dtype=bool)
     m = n
-    anchor, s1, s2, deviation, direction, lam2, m2 = rebuild()
+    centre, mat, deviation, direction, cap = rebuild()
     # Set at the first full pass: reach[i] >= ||x_i - a|| for its centre a,
     # and slack, the rounding allowance 16 (d + 2) eps S. ref is the last
     # full pass: v0, v0 . v0, an upper bound on ||c0 - a||, c0, and the
@@ -217,7 +211,6 @@ def filter_gaussian_unknown_mean(data, cfg: RobustConfig) -> FilterOutcome:
         if m - 1 < floor:
             term = Termination.FALLBACK_EXHAUSTED
             break
-        centre = anchor + s1 / m
         cv = centre @ direction
         i = -1
         if ref is not None:
@@ -239,7 +232,9 @@ def filter_gaussian_unknown_mean(data, cfg: RobustConfig) -> FilterOutcome:
         if i < 0:
             # Dead rows read -inf, below every |projection|; the argmax
             # breaks ties to the lowest surviving index.
-            top = np.abs(arr @ direction - cv)
+            top = np.einsum("ij,j->i", arr, direction)
+            top -= cv
+            np.abs(top, out=top)
             top[dead] = -np.inf
             i = int(top.argmax())
             if reach is None:
@@ -260,26 +255,23 @@ def filter_gaussian_unknown_mean(data, cfg: RobustConfig) -> FilterOutcome:
             ref = direction.copy(), direction @ direction, off, centre, top
         top[i] = -np.inf
 
-        row = arr[i] - anchor
-        s1 -= row
-        # A one-row outer product is exactly symmetric, so s2 and sigma - I
-        # stay exactly symmetric.
-        s2 -= np.outer(row, row)
+        z = arr[i] - centre
         removed.append(i)
         dead[i] = True
         m -= 1
-        shift = s1 / m
-        sigma_minus_identity = s2 / m
-        sigma_minus_identity -= np.outer(shift, shift)
-        sigma_minus_identity.flat[:: d + 1] -= 1.0
-
-        rho = m2 / m
-        value, direction, second = _power_eigenpair(sigma_minus_identity, direction, rho * lam2 + rho - 1.0)
+        g = (m + 1) / m
+        # A new array, not an update in place: ref holds the old centre.
+        centre = centre - z / m
+        mat *= g
+        mat.flat[:: d + 1] += g - 1.0
+        z *= math.sqrt(g / m)
+        mat -= np.outer(z, z)
+        value, direction, second = _power_eigenpair(mat, direction, cap / m - 1.0)
         if second is not None:
-            lam2, m2 = second, m
+            cap = m * (second + 1.0)
         deviation = max(0.0, value)
         if deviation <= threshold:
-            anchor, s1, s2, deviation, direction, lam2, m2 = rebuild()
+            centre, mat, deviation, direction, cap = rebuild()
             ref = None
 
     diagnostics = FilterDiagnostics(

@@ -93,8 +93,9 @@ def empirical_mean(data) -> np.ndarray:
     return arr.mean(axis=0)
 
 
-def empirical_covariance(data, center) -> np.ndarray:
-    """Second-moment matrix (1/n) sum (x_i - center)(x_i - center)^T.
+def empirical_covariance(data, center, rows=None) -> np.ndarray:
+    """Second-moment matrix (1/n) sum (x_i - center)(x_i - center)^T over
+    the n rows of data or, given an index array rows, over data[rows].
 
     Normalization is 1/n, not 1/(n-1): the filter compares against
     population-style moment matrices. The result is exactly symmetrized.
@@ -103,19 +104,24 @@ def empirical_covariance(data, center) -> np.ndarray:
     each centred into a fresh block, so about sqrt(n / d) GEMMs each take
     scratch about sqrt(d / n) of the data instead of one centred copy of
     it. With k = 1 (n < 4 d) this is the one-GEMM formula itself; with more
-    blocks the sum is rounded in a different order.
+    blocks the sum is rounded in a different order. Given rows, each block
+    is gathered from data by its slice of rows: the same blocks in the same
+    order as on data[rows], so the result is the same bit for bit without
+    that copy. All of data is validated, rows or not.
     """
     arr = as_dataset(data)
-    n, d = arr.shape
+    d = arr.shape[1]
+    n = arr.shape[0] if rows is None else len(rows)
     if n < 2:
         raise ValueError("covariance requires at least 2 rows")
     c = as_vector(center, dim=d)
     step = _block_rows(n, d)
-    block = arr[:step] - c
-    cov = block.T @ block
-    for s in range(step, n, step):
-        block = arr[s : s + step] - c
-        cov += block.T @ block
+    for s in range(0, n, step):
+        block = (arr[s : s + step] if rows is None else arr[rows[s : s + step]]) - c
+        if s:
+            cov += block.T @ block
+        else:
+            cov = block.T @ block
     cov /= n
     return 0.5 * (cov + cov.T)
 
@@ -132,7 +138,8 @@ def _power_eigenpair(mat: np.ndarray, start: np.ndarray, bound: float) -> tuple[
     lam - 2 tol exceeds bound, an upper bound on lambda_2 of mat, that
     eigenvalue is lambda_1, no eigenvalue lies above lam + tol, and the
     pair is returned. The spare tol absorbs the rounding that separates the
-    filter's downdated mat from the exact moments the bound is argued for.
+    filter's mat, updated one removed row at a time, from the exact moments
+    the bound is argued for.
     A settled pair that the bound does not prove is the top one goes to
     np.linalg.eigh (its failures raise LinAlgError), since a start can
     settle on a lower eigenvector (one it already is).

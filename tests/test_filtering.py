@@ -5,7 +5,7 @@ The tail rule of Diakonikolas et al. is kept here in full-sort form as a
 reference: a property test shows that under the survivor floor it only ever
 removes the row of largest projection, which is the one row the loop removes.
 Oracle: an exact-moment loop (two-pass survivor moments, np.linalg.eigh and
-the full-sort tail rule every round) for the loop's downdated moments.
+the full-sort tail rule every round) for the loop's carried moments.
 """
 
 import math
@@ -195,7 +195,9 @@ class TestOneRowRule:
 class TestSecondEigenvalueBound:
     """The bound the loop carries to certify warm eigenpairs: for nested
     survivor sets S_k within S_j and rho = m_j / m_k, lambda_2 of
-    cov(S_k) - I is at most rho * lambda_2(cov(S_j) - I) + rho - 1."""
+    cov(S_k) - I is at most rho * lambda_2(cov(S_j) - I) + rho - 1, that is
+    m_k (lambda_2(S_k) + 1) <= m_j (lambda_2(S_j) + 1): lambda_2 of the
+    scatter matrix m cov(S) never grows as rows leave."""
 
     @given(st.data(), st.integers(min_value=2, max_value=5), st.integers(min_value=3, max_value=30))
     @settings(max_examples=300, deadline=None)
@@ -212,6 +214,8 @@ class TestSecondEigenvalueBound:
             for m_k, second in zip(sizes[j + 1 :], seconds[j + 1 :]):
                 rho = m_j / m_k
                 assert second <= rho * seconds[j] + rho - 1.0 + 1e-12
+                # The scatter form the loop carries as cap = m (lambda_2 + 1).
+                assert m_k * (second + 1.0) <= m_j * (seconds[j] + 1.0) + 1e-12 * m_k
 
 
 class TestSurvivorMean:
@@ -294,11 +298,12 @@ class TestRemovalRule:
     """Each round removes the survivor of largest |(x - mean(S)) . v|, the
     lowest index on a tie, however the loop finds it.
 
-    Most rounds project only the rows that can still win, gathered and
-    projected row by row, not with the full matvec of the other rounds. The
-    two can differ in the last bits, so a removed row is checked against the
-    largest projection to within 1e-9 of it, not bit for bit. Identical rows
-    tie exactly in the row-by-row projection (see the last test here)."""
+    Most rounds project only the rows that can still win, and the others
+    project every row, both row by row. The check projects with its own
+    (x - mean) @ v, which can differ from the loop's in the last bits, so a
+    removed row is checked against the largest projection to within 1e-9 of
+    it, not bit for bit. Identical rows tie exactly in the row-by-row
+    projection (see the last two tests here)."""
 
     @staticmethod
     def check_rule(data, out, directions):
@@ -339,11 +344,28 @@ class TestRemovalRule:
         assert out.diagnostics.removed_indices == base.diagnostics.removed_indices
         self.check_rule(data, out, directions)
 
+    def test_identical_dense_rows_leave_in_index_order(self):
+        # 100 copies of one point with no zero coordinate, one of them at
+        # index n - 1 at odd n, where a BLAS matvec may round that lone
+        # trailing row apart from its twins. Full passes project row by row
+        # as the candidates do, so the copies tie and leave in index order.
+        n, d = 1001, 20
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            data = rng.standard_normal((n, d))
+            point = rng.standard_normal(d)
+            point[0] += 10.0
+            copies = set(rng.choice(n - 1, 99, replace=False).tolist()) | {n - 1}
+            data[list(copies)] = point
+            removed = filter_gaussian_unknown_mean(data, RobustConfig(gamma=0.1)).diagnostics.removed_indices
+            order = [i for i in removed if i in copies]
+            assert len(order) >= 99 and order == sorted(order)
+
     @pytest.mark.parametrize("d", [1, 7, 50])
     def test_identical_rows_tie_in_the_candidate_projection(self, d):
         # BLAS's matvec may round a lone trailing row differently from the
         # rest, so identical rows need not tie in one matvec call; the
-        # row-by-row projection the loop gives its candidates ties them.
+        # loop's row-by-row projection ties them.
         rows = np.vstack([sample_gaussian(2, d, 0.0, seed=4), np.tile(sample_gaussian(1, d, 0.0, seed=5), (997, 1))])
         v = sample_gaussian(1, d, 0.0, seed=6)[0]
         for k in (2, 3, 5, 997):
@@ -395,8 +417,9 @@ class TestFilterLoop:
 
     @pytest.mark.parametrize("case", ["constant_cluster", "symmetric_two_axis"])
     def test_carried_bound_holds_every_round(self, case, monkeypatch):
-        # Every bound the loop hands the solver is at least lambda_2 of the
-        # matrix it solves, up to the rounding of the downdated sums.
+        # Every bound the loop hands the solver, cap / m - 1, is at least
+        # lambda_2 of the matrix it solves, up to the rounding of the carried
+        # mat.
         make, cfg, _ending, _rounds = PARITY_CASES[case]
         slack = []
 
@@ -407,6 +430,45 @@ class TestFilterLoop:
         monkeypatch.setattr(filtering, "_power_eigenpair", solve)
         filter_gaussian_unknown_mean(make(), cfg)
         assert len(slack) > 100 and min(slack) >= -1e-9
+
+    CARRIED_CASES = {
+        # About 494 removal rounds.
+        "constant_cluster_5000": (
+            lambda: _attacked(5000, 50, 0.1, ConstantCluster(offset=10.0), 11),
+            RobustConfig(gamma=0.1),
+        ),
+        "offset_1e6": RULE_CASES["offset_1e6"],
+        "scale_1e8": RULE_CASES["scale_1e8"],
+    }
+
+    @pytest.mark.parametrize("case", CARRIED_CASES)
+    def test_carried_moments_match_two_pass(self, case, monkeypatch):
+        # Each removal round's mat, updated one removed row at a time, is the
+        # two-pass sigma - I of that round's survivors, the rows left by the
+        # prefix of removed_indices. The tolerance is 1e-12 s (s + ||mu||),
+        # s^2 = max |sigma| and ||mu|| the survivor mean's largest entry:
+        # 1e-12 of sigma, plus the rounding of x - mean when the data sit
+        # ||mu|| from the origin.
+        make, cfg = self.CARRIED_CASES[case]
+        data = make()
+        mats = []
+
+        def solve(mat, start, bound):
+            mats.append(mat.copy())
+            return _power_eigenpair(mat, start, bound)
+
+        monkeypatch.setattr(filtering, "_power_eigenpair", solve)
+        removed = filter_gaussian_unknown_mean(data, cfg).diagnostics.removed_indices
+        assert len(mats) == len(removed) >= 99
+        alive = np.ones(len(data), dtype=bool)
+        for i, mat in zip(removed, mats):
+            alive[i] = False
+            kept = data[alive]
+            mu = kept.mean(axis=0)
+            sigma = empirical_covariance(kept, mu)
+            s = math.sqrt(np.abs(sigma).max())
+            tol = 1e-12 * s * (s + np.abs(mu).max())
+            assert np.abs(mat - (sigma - np.eye(data.shape[1]))).max() <= tol
 
     def test_certificate_holds_for_start_eigenvector(self):
         # A dataset built so that a fixed start vector u0 is an exact

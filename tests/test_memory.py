@@ -62,8 +62,7 @@ def test_filter_removal_rounds(clean, monkeypatch):
     # Planted rows at 10 e1 and 6 e2: most rounds project only the rows that
     # can still win, and the turn from e1 to e2 forces a full pass. At gamma
     # = 0.01 the threshold lies under clean data's deviation, so the loop
-    # ends at the survivor floor without the rebuild that copies the
-    # survivors out.
+    # ends at the survivor floor.
     data = clean.copy()
     data[:500] = 0.0
     data[:200, 0] = 10.0
@@ -82,6 +81,19 @@ def test_filter_removal_rounds(clean, monkeypatch):
     assert diag.terminated_by is Termination.FALLBACK_EXHAUSTED and diag.iterations == 400
     pruned = sum(0 < 2 * k <= m for k, m in rounds)
     assert pruned >= 350 and len(rounds) - pruned >= 1
+
+
+def test_filter_rebuild_after_removals(clean):
+    # Planted rows at 10 e1 and 8 e2, removed until the survivors' moments,
+    # rebuilt from the input by blocks of survivor indices, certify.
+    data = clean.copy()
+    data[:400] = 0.0
+    data[:300, 0] = 10.0
+    data[300:400, 1] = 8.0
+    outcome = []
+    assert peak(lambda: outcome.append(filter_gaussian_unknown_mean(data, RobustConfig(gamma=0.1)))) <= 0.5
+    diag = outcome[0].diagnostics
+    assert diag.terminated_by is Termination.CERTIFICATE and diag.iterations == 304
 
 
 def test_winsorized_mean(clean):
