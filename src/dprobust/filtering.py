@@ -25,17 +25,19 @@ m, is exact algebra in three d x d passes (scale, outer product, subtract):
 
 and the outer product of one vector with itself keeps mat exactly
 symmetric. The round warm-starts the top eigenpair from the previous
-direction. A warm pair (lam, x) with residual at most tol is the top one
-when lam - 2 tol exceeds a bound on lambda_2 of mat. For survivor sets
-S_k within S_j, m_k cov(S_k) <= m_j cov(S_j): centring S_k at its own
-mean minimises its second moment, and the rows S_k drops add positive
-semidefinite terms. So the scatter matrix only shrinks as rows leave, and
-by Weyl's monotonicity its lambda_2 never grows: cap = m_j (lambda_2 + 1)
-from the last solve that computed a spectrum (round 0, a rebuild, or a
-removal round that fell back to np.linalg.eigh) bounds lambda_2 of mat by
-cap / m - 1 in every later round, across rebuilds too. So a warm pair is
-kept without a factorization, and lambda_2 is computed afresh only when
-that bound is too loose.
+direction with a heavy-ball power iteration, whose momentum is set from a
+bound on lambda_2 of mat, and that bound decides whether to keep a warm
+pair: (lam, x) with residual at most tol is the top one when lam - 2 tol
+exceeds it. For survivor sets S_k within S_j, m_k cov(S_k) <= m_j
+cov(S_j): centring S_k at its own mean minimises its second moment, and
+the rows S_k drops add positive semidefinite terms. So the scatter matrix
+only shrinks as rows leave, and by Weyl's monotonicity its lambda_2 never
+grows: cap = m_j (lambda_2 + 1) from the last solve that computed a
+spectrum (round 0, a rebuild, or a removal round that fell back to
+np.linalg.eigh) bounds lambda_2 of mat by cap / m - 1 in every later
+round, across rebuilds too. So a warm pair is kept without a
+factorization, and lambda_2 is computed afresh only when that bound is
+too loose.
 
 A removal round finds its row without projecting every row. A full pass
 projects all n rows and keeps its direction v0, its centre c0 and every

@@ -8,11 +8,13 @@ spectral_deviation_pair validates exact moments and solves them with one
 np.linalg.eigh, which also gives the second-largest eigenvalue lambda_2;
 every certificate the filter grants rests on such a solve. The filter
 loop's removal rounds, which solve a sequence of nearby matrices it builds
-itself from validated rows, call _power_eigenpair directly: a power
-iteration warm-started from the previous direction, which settles the
-large spectral gaps a planted cluster produces in a few steps and keeps
-its pair only when an upper bound on lambda_2 proves it is the top one,
-with np.linalg.eigh taking over otherwise.
+itself from validated rows, call _power_eigenpair directly: a heavy-ball
+power iteration warm-started from the previous direction, whose momentum
+comes from the upper bound on lambda_2 the filter carries. It settles the
+large spectral gaps a planted cluster produces in a few steps and a gap
+of lambda_2 / lambda_1 = 0.9 in about forty, and keeps its pair only when
+that bound proves it is the top one, with np.linalg.eigh taking over
+otherwise.
 
 Nothing here makes a second (n, d) array from a float64 dataset.
 Validation reads its minimum and maximum, which propagate nan and expose
@@ -131,15 +133,38 @@ def _power_eigenpair(mat: np.ndarray, start: np.ndarray, bound: float) -> tuple[
     which is not checked, with a unit eigenvector and, when the solve fell
     back to np.linalg.eigh, the second-largest eigenvalue lambda_2.
 
-    Power iteration from start, a unit vector such as the one returned for
-    a nearby mat, which like mat is not checked. It settles the iterate x
-    once its Rayleigh quotient lam > 0 and ||M x - lam x|| <= tol =
-    1e-7 * max(1, lam). Then some eigenvalue lies within tol of lam; when
-    lam - 2 tol exceeds bound, an upper bound on lambda_2 of mat, that
-    eigenvalue is lambda_1, no eigenvalue lies above lam + tol, and the
-    pair is returned. The spare tol absorbs the rounding that separates the
-    filter's mat, updated one removed row at a time, from the exact moments
-    the bound is argued for.
+    Heavy-ball power iteration from start, a unit vector such as the one
+    returned for a nearby mat, which like mat is not checked. Each step
+    reads the iterate x, a unit vector, and its product y = M x; it takes
+    the Rayleigh quotient lam = x . y, tests x, and moves on to
+
+        v = y - beta q x_prev,  x <- v / ||v||,  q <- 1 / ||v||,
+
+    with x_prev the iterate before x and q from the step before (no term on
+    the first step). Since every iterate is normalised, this is the
+    unnormalised recurrence w <- M w - beta w_prev divided through by
+    ||w||. That recurrence grows an eigencomponent of eigenvalue mu by the
+    larger root of z^2 - mu z + beta, of modulus sqrt(beta) whenever |mu|
+    <= 2 sqrt(beta), and (mu + sqrt(mu^2 - 4 beta)) / 2 above that. So beta
+    = (b / 2)^2 with b = lambda_2 damps every eigenvalue in [-lambda_2,
+    lambda_2] alike and shrinks the step's error ratio from lambda_2 /
+    lambda_1 to about its square root (Xu et al., "Accelerated Stochastic
+    Power Iteration", arXiv 1707.02670). The iteration has only the bound
+    on lambda_2, which may lie above lambda_1 itself; beta from such a b
+    would damp lambda_1 as well and no component would lead. So b =
+    min(max(bound, 0), lam): lam never exceeds lambda_1, which keeps 2
+    sqrt(beta) <= lambda_1. A negative bound gives b = 0, and a bound that
+    is not finite, or lam <= 0, sets beta = 0: the plain power iteration.
+
+    Momentum changes only which vectors are visited; what makes a kept
+    pair correct reads the current x alone. It settles x once lam > 0 and
+    ||M x - lam x|| <= tol = 1e-7 * max(1, lam). Then some eigenvalue lies
+    within tol of lam, whatever sequence produced x; when lam - 2 tol
+    exceeds bound, an upper bound on lambda_2 of mat, that eigenvalue is
+    lambda_1, no eigenvalue lies above lam + tol, and the pair is returned.
+    The spare tol absorbs the rounding that separates the filter's mat,
+    updated one removed row at a time, from the exact moments the bound is
+    argued for.
     A settled pair that the bound does not prove is the top one goes to
     np.linalg.eigh (its failures raise LinAlgError), since a start can
     settle on a lower eigenvector (one it already is).
@@ -154,7 +179,9 @@ def _power_eigenpair(mat: np.ndarray, start: np.ndarray, bound: float) -> tuple[
     eigh call, and None when the power iteration's pair was kept.
     """
     d = mat.shape[0]
-    x = start
+    x = x_prev = start
+    q = 0.0  # 1 / ||v|| of the last step; 0 leaves the first step plain
+    b_max = max(bound, 0.0) if math.isfinite(bound) else 0.0
     res_prev = math.inf
     for left in range(d - 1, -1, -1):
         y = mat @ x
@@ -167,16 +194,20 @@ def _power_eigenpair(mat: np.ndarray, start: np.ndarray, bound: float) -> tuple[
                 return lam, x, None
             break
         # Past the start's transient, the residual shrinks by a ratio that
-        # grows towards |lambda_2 / lambda_1|; at its last ratio, the steps
-        # left would end above tol. A growing residual is transient and
-        # predicts nothing. An early hand-off costs one eigh, not a wrong pair.
+        # grows towards the iteration's rate (|lambda_2 / lambda_1| without
+        # momentum); at its last ratio, the steps left would end above tol.
+        # A growing residual is transient and predicts nothing. An early
+        # hand-off costs one eigh, not a wrong pair.
         if res < res_prev and res * (res / res_prev) ** left > tol:
             break
         res_prev = res
+        b = min(b_max, lam)
+        if b > 0.0 and q:
+            y -= (0.25 * b * b * q) * x_prev
         y_norm = math.sqrt(y @ y)
         if y_norm == 0.0:
             break
-        x = y / y_norm
+        x_prev, x, q = x, y / y_norm, 1.0 / y_norm
     values, vectors = np.linalg.eigh(mat)
     return float(values[-1]), vectors[:, -1], float(values[:-1].max(initial=-math.inf))
 

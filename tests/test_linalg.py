@@ -76,6 +76,34 @@ def small_gap(d, seed=41):
     return (m + m.T) / 2.0
 
 
+def slow_gap(d, seed=7):
+    # lambda_1 = 1.2 over lambda_2 = 1.08, the rest uniform in [-0.7, 1.08]:
+    # plain power iteration contracts by 0.9 a step, heavy-ball by about 0.6.
+    rng = np.random.default_rng(seed)
+    eigs = np.concatenate([rng.uniform(-0.7, 1.08, size=d - 2), [1.08, 1.2]])
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    m = q @ np.diag(eigs) @ q.T
+    return (m + m.T) / 2.0
+
+
+class CountingMatrix(np.ndarray):
+    """A matrix view that counts its products with vectors."""
+
+    def __matmul__(self, other):
+        self.products += 1
+        return np.asarray(self) @ other
+
+
+def counted(m, monkeypatch):
+    """m as a CountingMatrix, and the product counts at which eigh was called."""
+    view = m.view(CountingMatrix)
+    view.products = 0
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(view.products) or eigh(*a, **k))
+    return view, calls
+
+
 class TestValidation:
     """The finite checks read the minimum and maximum, not an (n, d) mask."""
 
@@ -222,14 +250,21 @@ class TestMaxEigenpair:
     def test_algebraic_maximum(self, m):
         # Adversarial starts: all-ones, an eigenvector of several of these
         # matrices, and the eigenvector of lambda_2 itself, on which the
-        # iteration settles at once.
+        # iteration settles at once. Bounds: lambda_2; inf and, when
+        # lambda_2 < 0, a negative bound, both of which turn momentum off;
+        # and lambda_1, under which no pair is proved and eigh takes over.
         d = m.shape[0]
         values, vectors = np.linalg.eigh(m)
+        lambda_2 = float(values[-2])
+        bounds = [lambda_2, math.inf, float(values[-1])] + ([0.5 * lambda_2] if lambda_2 < 0.0 else [])
         for start in (np.ones(d) / math.sqrt(d), vectors[:, -2]):
-            value, vector, _ = _power_eigenpair(as_sym_matrix(m), start, float(values[-2]))
-            assert value == pytest.approx(oracle_top_eigenvalue(m), abs=1e-8)
-            assert abs(np.linalg.norm(vector) - 1.0) <= 1e-9
-            assert residual(m, value, vector) <= 1e-7 * max(1.0, abs(value))
+            for bound in bounds:
+                value, vector, second = _power_eigenpair(as_sym_matrix(m), start, bound)
+                assert value == pytest.approx(oracle_top_eigenvalue(m), abs=1e-8)
+                assert abs(np.linalg.norm(vector) - 1.0) <= 1e-9
+                assert residual(m, value, vector) <= 1e-7 * max(1.0, abs(value))
+                if bound == values[-1]:
+                    assert second == pytest.approx(lambda_2, abs=1e-12)
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
@@ -241,22 +276,28 @@ class TestMaxEigenpair:
         d = 60
         m = small_gap(d)
         values, vectors = np.linalg.eigh(m)
-
-        class CountingMatrix(np.ndarray):
-            def __matmul__(self, other):
-                self.products += 1
-                return np.asarray(self) @ other
-
-        counted = m.view(CountingMatrix)
-        counted.products = 0
-        calls = []
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(counted.products) or eigh(*a, **k))
-        value, vector, second = _power_eigenpair(counted, np.ones(d) / math.sqrt(d), float(values[-2]))
+        view, calls = counted(m, monkeypatch)
+        value, vector, second = _power_eigenpair(view, np.ones(d) / math.sqrt(d), float(values[-2]))
         assert calls and calls[0] < d
         assert value == float(values[-1])
         assert np.array_equal(vector, vectors[:, -1])
         assert second == float(values[-2])
+
+    def test_momentum_keeps_a_slow_gap_without_eigh(self, monkeypatch):
+        # lambda_2 / lambda_1 = 0.9 at d = 200: plain power iteration's
+        # residual ratio predicts it would miss the tolerance and hands off
+        # after 10 products; heavy-ball steps from the bound lambda_2 settle
+        # in about 40, and the bound proves the pair.
+        d = 200
+        m = slow_gap(d)
+        values, vectors = np.linalg.eigh(m)
+        view, calls = counted(m, monkeypatch)
+        value, vector, second = _power_eigenpair(view, np.ones(d) / math.sqrt(d), float(values[-2]))
+        assert calls == [] and second is None
+        assert view.products < d
+        assert value == pytest.approx(float(values[-1]), abs=1e-8)
+        assert abs(np.linalg.norm(vector) - 1.0) <= 1e-9
+        assert residual(m, value, vector) <= 1e-7 * max(1.0, value)
 
 
 class TestSpectralDeviation:
@@ -333,19 +374,23 @@ class TestSpectralDeviation:
         "nullspace_start": np.array([[2.0, -2.0], [-2.0, 2.0]]),
         "ones_not_top": np.array([[3.0, -1.0], [-1.0, 3.0]]),
         "shifted_random": random_symmetric(0) + 4.0 * np.eye(5),
+        # lambda_2 < 0, so the bound lambda_2 turns momentum off.
+        "negative_second": np.diag([-2.0, -0.5, 1.5]),
     }
 
     @pytest.mark.parametrize("case", ["diagonal", "ones_not_top", "shifted_random"])
     def test_lower_eigenvector_start_still_gives_top_pair(self, case):
         # The start is an exact eigenvector with a positive eigenvalue below
         # the top one: power iteration settles on it at once, and with no
-        # usable bound (inf) the pair is never kept.
+        # usable bound (inf, or lambda_1, which no pair can beat) the pair
+        # is never kept.
         m = self.START_CASES[case]
         values, vectors = np.linalg.eigh(m)
-        value, vector, _ = _power_eigenpair(m, vectors[:, -2], math.inf)
         assert values[-2] > 0.0
-        assert value == pytest.approx(values[-1], abs=1e-8)
-        assert residual(m, value, vector) <= 1e-7 * max(1.0, value)
+        for bound in (math.inf, float(values[-1])):
+            value, vector, _ = _power_eigenpair(m, vectors[:, -2], bound)
+            assert value == pytest.approx(values[-1], abs=1e-8)
+            assert residual(m, value, vector) <= 1e-7 * max(1.0, value)
 
     @pytest.mark.parametrize("case", ["diagonal", "ones_not_top", "shifted_random"])
     @pytest.mark.parametrize("slack", [0.0, 0.5])
