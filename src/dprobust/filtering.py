@@ -40,38 +40,40 @@ factorization, and lambda_2 is computed afresh only when that bound is
 too loose.
 
 A removal round finds its row without projecting every row. A full pass
-projects all n rows and keeps its direction v0, its centre c0 and every
-|q_i| = |(x_i - c0) . v0|. At the first full pass the loop also takes
-r_i >= ||x_i - a||, a that pass's centre, from ||x_i||^2 - 2 x_i . a +
-||a||^2 (one row-norm pass and one matvec). A later round with direction
-v and centre c bounds every row: with x_i - c = (x_i - c0) + (c0 - c),
-v = s v0 + (v - s v0) for either sign s, and Cauchy-Schwarz,
+projects all n rows and keeps its direction v0, its centre c0, every
+|q_i| = |(x_i - c0) . v0| and one radius R >= ||x_i - c0|| over its
+survivors, R^2 the largest ||x_i||^2 - 2 x_i . c0 + ||c0||^2 (one matvec;
+the squared row norms are taken once, at the first full pass). A later
+round with direction v and any centre c bounds every survivor: with
+x_i - c = (x_i - c0) + (c0 - c), v = s v0 + (v - s v0) for either sign s,
+and Cauchy-Schwarz,
 
-    |(x_i - c) . v| <= |q_i| + ||x_i - c0|| delta + |(c0 - c) . v|,
-    delta = min_s ||v - s v0||, so delta^2 = ||v||^2 + ||v0||^2 - 2 |v . v0|,
+    |(x_i - c) . v| <= |q_i| + R delta + |(c0 - c) . v|,
+    delta = min_s ||v - s v0||, so delta^2 = ||v||^2 + ||v0||^2 - 2 |v . v0|.
 
-and ||x_i - c0|| <= r_i + ||a - c0||. The sign matters: eigh may return
--v for v. So the round projects the survivor j of largest bound exactly;
-no row whose bound falls below that projection can win, and the others,
-the candidates, are projected and compared in ascending index order. When
+The sign matters: eigh may return -v for v. So the round projects the
+survivor j of largest |q_i|, which has the largest bound, exactly; no row
+whose bound falls below that projection can win, and the others, the
+candidates, are projected and compared in ascending index order. When
 more than half the survivors are candidates, projecting them costs more
-than a full pass, and the round makes one instead; so does the round
-after a rebuild. Rounding is covered the same way throughout: every
-computed dot product of length d is within (d + 2) eps / 2 ||x|| ||y|| of
-the exact one, every norm here is at most S = max_i ||x_i|| (the centres
-are means of rows) or twice it, and the loop widens r_i and delta and
-lowers the cut by 16 (d + 2) eps S, more than those errors add up to. So
-a row left out loses to row j in the projection's own arithmetic. Full
-passes and candidates project with the same row-by-row np.einsum, the
-same arithmetic for every row, so the removed row is the one a full pass
-would remove, and identical rows tie exactly and leave lowest index
-first. (A BLAS matvec may round a lone trailing row of a call differently
-from the rest, so identical rows need not tie in one.)
+than a full pass, and the round makes one instead. Rounding is covered
+the same way throughout: every computed dot product of length d is within
+(d + 2) eps / 2 ||x|| ||y|| of the exact one, every norm here is at most
+S = max_i ||x_i|| (the centres are means of rows) or twice it, and the
+loop widens R and delta and lowers the cut by 16 (d + 2) eps S, more than
+those errors add up to. So a row left out loses to row j in the
+projection's own arithmetic. Full passes and candidates project with the
+same row-by-row np.einsum, the same arithmetic for every row, so the
+removed row is the one a full pass would remove, and identical rows tie
+exactly and leave lowest index first. (A BLAS matvec may round a lone
+trailing row of a call differently from the rest, so identical rows need
+not tie in one.)
 
-A round costs O(d^2) for the removed row, O(n) to bound every row and
-O(k d) to project its k candidates; a full pass costs O(n d). On a planted
-cluster at (5000, 50) the candidates are the cluster rows left, about 250
-a round, and one full pass serves a whole release.
+A round costs O(d^2) for the removed row, O(n) to compare every |q_i|
+with the cut and O(k d) to project its k candidates; a full pass costs
+O(n d). On a planted cluster at (5000, 50) the candidates are the cluster
+rows left, about 250 a round, and one to three full passes serve a
+whole release.
 
 The loop runs while the deviation exceeds the threshold. Round 0 solves
 the input's exact moments with one np.linalg.eigh. The carried centre and
@@ -85,15 +87,16 @@ a carried update nor a start vector. No periodic rebuild is made: on no
 known input does the drift change a termination or which rows are
 removed, so a schedule would be a constant with nothing to tune it by.
 
-The working set is the input, a few n-vectors (the mask, the last full
-pass's projections, r, a round's bounds, a rebuild's survivor indices),
-one block or candidate gather of rows, and a few (d, d) matrices: the
-survivors are never copied out of the input. The input is validated on
-entry and by empirical_covariance at round 0 and at every rebuild (a
-covariance that skipped it would be a second covariance path), and
-spectral_deviation_pair rejects exact moments that overflowed. A removal
-round updates mat from rows of that validated input and hands it to the
-linalg module's private solver without checking it again.
+The working set is the input, a few n-vectors (the mask, the squared row
+norms, the last full pass's projections, a full pass's squared distances,
+a rebuild's survivor indices), one block or candidate gather of rows, and
+a few (d, d) matrices: the survivors are never copied out of the input.
+The input is validated on entry and by empirical_covariance at round 0
+and at every rebuild (a covariance that skipped it would be a second
+covariance path), and spectral_deviation_pair rejects exact moments that
+overflowed. A removal round updates mat from rows of that validated input
+and hands it to the linalg module's private solver without checking it
+again.
 """
 
 from __future__ import annotations
@@ -200,13 +203,13 @@ def filter_gaussian_unknown_mean(data, cfg: RobustConfig) -> FilterOutcome:
     dead = np.zeros(n, dtype=bool)
     m = n
     centre, mat, deviation, direction, cap = rebuild()
-    # Set at the first full pass: reach[i] >= ||x_i - a|| for its centre a,
-    # and slack, the rounding allowance 16 (d + 2) eps S. ref is the last
-    # full pass: v0, v0 . v0, an upper bound on ||c0 - a||, c0, and the
+    # Set at the first full pass: sq[i] >= ||x_i||^2 and slack, the rounding
+    # allowance 16 (d + 2) eps S. ref is the last full pass: v0, v0 . v0,
+    # c0, a radius R >= ||x_i - c0|| over its survivors, and the
     # |projections| (dead rows -inf).
     tol = 8.0 * (d + 2) * np.finfo(float).eps
     step = _block_rows(n, d)
-    reach = ref = None
+    sq = ref = None
     removed: list[int] = []
     term = Termination.CERTIFICATE
     while deviation > threshold:
@@ -216,15 +219,12 @@ def filter_gaussian_unknown_mean(data, cfg: RobustConfig) -> FilterOutcome:
         cv = centre @ direction
         i = -1
         if ref is not None:
-            v0, v0v0, off, c0, top = ref
+            v0, v0v0, c0, radius, top = ref
             delta = math.sqrt(direction @ direction + v0v0 - 2.0 * abs(direction @ v0) + tol)
-            bound = reach * delta
-            bound += top
-            j = int(bound.argmax())
-            cut = abs(arr[j] @ direction - cv) - abs(c0 @ direction - cv) - off * delta - slack
-            cand = np.flatnonzero(bound >= cut)
-            # Empty only when a bound is not finite (rows near the overflow
-            # limit); the full pass then decides.
+            cut = abs(arr[top.argmax()] @ direction - cv) - abs(c0 @ direction - cv) - radius * delta - slack
+            cand = np.flatnonzero(top >= cut)
+            # Empty, or every row, only when the cut is not finite (rows near
+            # the overflow limit); the full pass then decides.
             if 0 < 2 * cand.size <= m:
                 proj = np.empty(cand.size)
                 for s in range(0, cand.size, step):
@@ -239,22 +239,18 @@ def filter_gaussian_unknown_mean(data, cfg: RobustConfig) -> FilterOutcome:
             np.abs(top, out=top)
             top[dead] = -np.inf
             i = int(top.argmax())
-            if reach is None:
-                # ||x - a||^2 = ||x||^2 - 2 x . a + ||a||^2 with no (n, d)
-                # temporary; padding the squares by 2 tol covers the
-                # cancellation when the data sit far from the origin.
-                a = centre
-                reach = np.einsum("ij,ij->i", arr, arr)
-                reach *= 1.0 + 2.0 * tol
-                reach -= 2.0 * (arr @ a)
-                reach += (1.0 + 2.0 * tol) * (a @ a)
-                reach = np.sqrt(reach, out=reach)
+            if sq is None:
+                sq = (1.0 + 2.0 * tol) * np.einsum("ij,ij->i", arr, arr)
                 # S >= max ||x_i||, which bounds every centre's norm too.
-                slack = 2.0 * tol * (reach.max() + math.sqrt(a @ a))
-            off = float(np.linalg.norm(centre - a)) * (1.0 + tol)
+                slack = 2.0 * tol * math.sqrt(sq.max())
+            # ||x - c0||^2 = ||x||^2 - 2 x . c0 + ||c0||^2 with no (n, d)
+            # temporary, the squares padded by 2 tol against cancellation.
+            r2 = sq - 2.0 * (arr @ centre)
+            r2[dead] = -np.inf
+            radius = math.sqrt(max(0.0, r2.max() + (1.0 + 2.0 * tol) * (centre @ centre)))
             # A copy: a direction from eigh is a column of its whole (d, d)
             # eigenvector matrix, which ref would otherwise keep alive.
-            ref = direction.copy(), direction @ direction, off, centre, top
+            ref = direction.copy(), direction @ direction, centre, radius, top
         top[i] = -np.inf
 
         z = arr[i] - centre
@@ -274,7 +270,6 @@ def filter_gaussian_unknown_mean(data, cfg: RobustConfig) -> FilterOutcome:
         deviation = max(0.0, value)
         if deviation <= threshold:
             centre, mat, deviation, direction, cap = rebuild()
-            ref = None
 
     diagnostics = FilterDiagnostics(
         iterations=len(removed),

@@ -101,6 +101,44 @@ def _far_outliers(n, d, k):
     return data
 
 
+def _planted_and_far(far):
+    # 400 rows at 10 e1 and far rows of N(0, I_20) moved by 1e4 e1: at far =
+    # 100 they pull the input mean about 250 from the clean rows.
+    data = sample_gaussian(4000, 20, 0.0, seed=1)
+    data[:400] = 0.0
+    data[:400, 0] = 10.0
+    data[400 : 400 + far, 0] += 1e4
+    return data
+
+
+def _start_eigenvector_pair():
+    """A dataset built so that a fixed start vector u0 is an exact
+    eigenvector of sigma - I with eigenvalue 0.1, under the threshold 0.2303
+    at gamma = 0.1 and C = 1, while lambda_max is 899 along v, and a
+    neighbour one row away.
+
+    Coefficients along (u0, v, w1, w2): +-sqrt(1.1) along u0; +90 on 104
+    rows and -10 on 936 along v; and sign patterns tiled per 4 rows along
+    (u0, w1, w2), so every cross-covariance is exactly 0. u0 is the start of
+    an earlier solver, which certified this dataset at round 0. The
+    neighbour moves one row by 0.5 w1, is not built around u0, and removes
+    the 104 rows.
+    """
+    d, n = 4, 1040
+    u0 = np.random.Generator(np.random.Philox(key=0xD1FE)).standard_normal(d)
+    u0 /= np.linalg.norm(u0)
+    basis, _ = np.linalg.qr(np.column_stack([u0, np.eye(d)[:, : d - 1]]))
+    basis[:, 0] = u0
+    u0, v, w1, w2 = basis.T
+    signs = np.tile([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]], (n // 4, 1))
+    along_v = np.where(np.arange(n) < 104, 90.0, -10.0)
+    data = np.outer(math.sqrt(1.1) * signs[:, 0], u0) + np.outer(along_v, v)
+    data += np.outer(signs[:, 1], w1) + np.outer(signs[:, 2], w2)
+    neighbour = data.copy()
+    neighbour[-1] += 0.5 * w1
+    return data, neighbour
+
+
 def _symmetric_two_axis(n_pairs, k, c, s, seed):
     # Rows (a, b) and (a, -b) in pairs, an inflated second axis and k rows
     # at (c, 0): sigma stays diagonal up to rounding, so e1 stays an
@@ -287,6 +325,8 @@ RULE_CASES = {
     # Identical rows whose projections round in every coordinate, at odd n.
     "planted_dense_identical": (lambda: _dense_cluster(1001, 20, 100, 0), RobustConfig(gamma=0.1)),
     "far_outliers": (lambda: _far_outliers(4000, 20, 20), RobustConfig(gamma=0.1)),
+    # Far rows that pull the input mean far from the rows a full pass measures.
+    "planted_and_far": (lambda: _planted_and_far(100), RobustConfig(gamma=0.1)),
     "offset_1e6": (lambda: _attacked(1000, 10, 0.1, DirectionalSpread(), 91) + 1e6, RobustConfig(gamma=0.1)),
     "scale_1e-8": (lambda: _tiny_clean_rows(1000, 10, 1e-8, 93), RobustConfig(gamma=0.1)),
     "scale_1e8": (lambda: _attacked(1000, 10, 0.1, ConstantCluster(offset=10.0), 93) * 1e8, RobustConfig(gamma=0.1)),
@@ -343,6 +383,26 @@ class TestRemovalRule:
         assert any(a @ b < 0 for a, b in zip(directions, directions[1:]))
         assert out.diagnostics.removed_indices == base.diagnostics.removed_indices
         self.check_rule(data, out, directions)
+
+    def test_far_rows_need_few_full_passes(self, monkeypatch):
+        # The last full pass bounds every survivor with one radius about its
+        # own centre, so once the far rows are gone the planted rows are
+        # found from one more pass. A radius measured about the input mean,
+        # which the far rows pull about 250 away, would stay loose for the
+        # whole release: 15 full passes.
+        data = _planted_and_far(100)
+        # Per round that bounds the projections: its candidates and survivors.
+        rounds, solves = [], []
+        flatnonzero, solve = np.flatnonzero, filtering._power_eigenpair
+        monkeypatch.setattr(
+            np, "flatnonzero", lambda a: rounds.append((flatnonzero(a).size, len(data) - len(solves))) or flatnonzero(a)
+        )
+        monkeypatch.setattr(filtering, "_power_eigenpair", lambda *a: solves.append(1) or solve(*a))
+        diag = filter_gaussian_unknown_mean(data, RobustConfig(gamma=0.1)).diagnostics
+        assert diag.terminated_by is Termination.CERTIFICATE and diag.iterations >= 490
+        # The first full pass has no earlier one to bound from.
+        full_passes = 1 + sum(not 0 < 2 * k <= m for k, m in rounds)
+        assert full_passes <= 3
 
     def test_identical_dense_rows_leave_in_index_order(self):
         # 100 copies of one point with no zero coordinate, one of them at
@@ -471,26 +531,9 @@ class TestFilterLoop:
             assert np.abs(mat - (sigma - np.eye(data.shape[1]))).max() <= tol
 
     def test_certificate_holds_for_start_eigenvector(self):
-        # A dataset built so that a fixed start vector u0 is an exact
-        # eigenvector of sigma - I with eigenvalue 0.1, under the threshold
-        # 0.2303, while lambda_max is 899 along v. Coefficients along (u0, v,
-        # w1, w2): +-sqrt(1.1) along u0; +90 on 104 rows and -10 on 936 along
-        # v; and sign patterns tiled per 4 rows along (u0, w1, w2), so every
-        # cross-covariance is exactly 0. u0 is the start of an earlier
-        # solver, which certified this dataset at round 0. Its neighbour moves
-        # one row by 0.5 w1, is not built around u0, and removes the 104 rows.
-        d, n = 4, 1040
-        u0 = np.random.Generator(np.random.Philox(key=0xD1FE)).standard_normal(d)
-        u0 /= np.linalg.norm(u0)
-        basis, _ = np.linalg.qr(np.column_stack([u0, np.eye(d)[:, : d - 1]]))
-        basis[:, 0] = u0
-        u0, v, w1, w2 = basis.T
-        signs = np.tile([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]], (n // 4, 1))
-        along_v = np.where(np.arange(n) < 104, 90.0, -10.0)
-        data = np.outer(math.sqrt(1.1) * signs[:, 0], u0) + np.outer(along_v, v)
-        data += np.outer(signs[:, 1], w1) + np.outer(signs[:, 2], w2)
-        neighbour = data.copy()
-        neighbour[-1] += 0.5 * w1
+        # See _start_eigenvector_pair: the dataset certified at round 0
+        # under a solver that started from u0.
+        data, neighbour = _start_eigenvector_pair()
         cfg = RobustConfig(gamma=0.1, c_thresh=1.0)
         reports = [dp_robust_mean(x, cfg, epsilon=1.0, seed=0, diagnostic=True) for x in (data, neighbour)]
         assert reports[0].filter_diag.iterations > 0
@@ -644,3 +687,54 @@ class TestFilterLoop:
                 hits += ratio <= 2.0 * gamma + 0.01
         assert total >= 1 and hits == total
 
+
+def _one_row_neighbours(data, planted, release):
+    """Fixed neighbours of data, each one row away: a clean row moved to 20
+    e1 or by 0.1 e1, the first removed row moved to the survivors' mean, and
+    that clean row replaced by a copy of the removed row. The clean row is
+    the first one neither planted nor removed."""
+    removed = release.filter_diag.removed_indices
+    out = set(planted) | set(removed)
+    keep = next(i for i in range(len(data)) if i not in out)
+    far, near = data.copy(), data.copy()
+    far[keep] = 0.0
+    far[keep, 0] = 20.0
+    near[keep, 0] += 0.1
+    yield far
+    yield near
+    if removed:
+        to_mean, copy = data.copy(), data.copy()
+        to_mean[removed[0]] = release.robust_mean
+        copy[keep] = data[removed[0]]
+        yield to_mean
+        yield copy
+
+
+class TestOneRowNeighbours:
+    def test_certified_pairs_move_at_most_the_sensitivity(self):
+        # The privacy claim on data: where both ends of a one-row pair
+        # certify, the filtered means differ by at most sensitivity_used,
+        # the sensitivity the noise is calibrated to. Clean rows, the same
+        # rows under a planted cluster at three offsets, and the crafted
+        # start-eigenvector pair; 15 pairs, all of them certified, with the
+        # largest movement 0.002 of the sensitivity.
+        cfg = RobustConfig(gamma=0.1, c_thresh=1.0)
+
+        def release(x):
+            return dp_robust_mean(x, cfg, epsilon=1.0, seed=0, diagnostic=True)
+
+        clean = sample_gaussian(500, 10, 0.0, seed=5)
+        pairs = [tuple(release(x) for x in _start_eigenvector_pair())]
+        for offset in (None, 3.0, 5.0, 10.0):
+            data, planted = clean, []
+            if offset is not None:
+                data, plan = corrupt(clean, 0.1, ConstantCluster(offset=offset), seed=6, fixed_count=True)
+                planted = plan.replaced_indices
+            base = release(data)
+            pairs += [(base, release(x)) for x in _one_row_neighbours(data, planted, base)]
+        certified = 0
+        for a, b in pairs:
+            if a.filter_diag.terminated_by is b.filter_diag.terminated_by is Termination.CERTIFICATE:
+                certified += 1
+                assert np.linalg.norm(a.robust_mean - b.robust_mean) <= a.sensitivity_used
+        assert certified >= 12
